@@ -1,12 +1,13 @@
 // SQL fast-path benchmark: the same parameterized statement mix run over the
-// full {plan cache off/on} x {row-at-a-time / vectorized} x {heuristic /
-// model-costed optimizer} grid, written machine-readable to BENCH_sql.json
-// so future PRs have a perf baseline for the SQL frontend. A separate join
-// section reports the optimizer-mode comparison (and whether the model
-// actually picked a different plan than the heuristic).
+// full {plan cache off/on} x {row = interpret (execution_mode 0) / compiled
+// (execution_mode 1)} x {heuristic / model-costed optimizer} grid, written
+// machine-readable to BENCH_sql.json as a perf baseline for the SQL
+// frontend. A separate join section reports the optimizer-mode comparison
+// (and whether the model actually picked a different plan than the
+// heuristic).
 //
 // Result checksums must agree across every grid cell — the plan cache and
-// the vectorized engine are required to be invisible in results.
+// the compiled engine are required to be invisible in results.
 //
 //   --smoke       tiny sizes for CI (ctest label "perf"): asserts identical
 //                 checksums, cache hits, zero failures, a valid artifact
@@ -28,7 +29,7 @@ namespace {
 
 struct GridResult {
   bool cache = false;
-  bool vectorized = false;
+  bool compiled = false;
   bool model_opt = false;
   size_t statements = 0;
   size_t failures = 0;
@@ -41,7 +42,7 @@ struct GridResult {
 const char *OnOff(bool b) { return b ? "on" : "off"; }
 
 /// Order-sensitive checksum over a result batch (the grid queries have
-/// deterministic plans modulo vectorization, so row order is stable).
+/// deterministic plans in either execution mode, so row order is stable).
 uint64_t BatchChecksum(const Batch &batch) {
   uint64_t h = 1469598103934665603ull;
   for (const auto &row : batch.rows) {
@@ -58,8 +59,8 @@ uint64_t BatchChecksum(const Batch &batch) {
 }
 
 /// The statement mix: point lookups and predicate scans with rotating
-/// literals — the cache's parameterization and the vector engine's filters
-/// both get exercised on every iteration.
+/// literals — the cache's parameterization and the compiled engine's block
+/// filters both get exercised on every iteration.
 std::vector<std::string> MakeStatements(size_t iterations, int rows) {
   std::vector<std::string> stmts;
   stmts.reserve(iterations * 6);
@@ -68,7 +69,7 @@ std::vector<std::string> MakeStatements(size_t iterations, int rows) {
     const int grp = static_cast<int>(i) % 16;
     // OLTP-style point lookups dominate the mix (parse-bound through the
     // index; the cache's territory), with one filter scan and one aggregate
-    // per iteration (execution-bound; the vector engine's territory).
+    // per iteration (execution-bound; the compiled engine's territory).
     for (int p = 0; p < 4; p++) {
       stmts.push_back("SELECT id, val FROM bench WHERE id = " +
                       std::to_string((id + p * 101) % rows));
@@ -83,14 +84,14 @@ std::vector<std::string> MakeStatements(size_t iterations, int rows) {
 }
 
 GridResult RunGrid(Database *db, const std::vector<std::string> &stmts,
-                   bool cache, bool vectorized, bool model_opt,
+                   bool cache, bool compiled, bool model_opt,
                    int64_t cache_capacity) {
   GridResult res;
   res.cache = cache;
-  res.vectorized = vectorized;
+  res.compiled = compiled;
   res.model_opt = model_opt;
   db->settings().SetInt("sql_plan_cache_capacity", cache ? cache_capacity : 0);
-  db->settings().SetInt("execution_mode", vectorized ? 2 : 0);
+  db->settings().SetInt("execution_mode", compiled ? 1 : 0);
   db->settings().SetInt("optimizer_mode", model_opt ? 1 : 0);
   db->plan_cache().Clear();
   const sql::PlanCacheStats before = db->plan_cache().stats();
@@ -114,7 +115,7 @@ GridResult RunGrid(Database *db, const std::vector<std::string> &stmts,
 
 void PrintGrid(const GridResult &r) {
   PrintKv(std::string("cache ") + OnOff(r.cache) + ", " +
-              (r.vectorized ? "vectorized" : "row") + ", " +
+              (r.compiled ? "compiled" : "row") + ", " +
               (r.model_opt ? "model" : "heuristic"),
           Fmt(r.throughput_sps) + " stmt/s, hits " +
               std::to_string(r.cache_hits) +
@@ -135,7 +136,7 @@ int main(int argc, char **argv) {
   const size_t iterations = smoke ? 60 : 400;
   obs::SetEnabled(true);  // the reordered-plan gate reads an obs counter
 
-  Section header("SQL fast path (plan cache + vectorized + MB2-costed)");
+  Section header("SQL fast path (plan cache + compiled + MB2-costed)");
   std::printf("(mode=%s, rows=%d, statements=%zu)\n", smoke ? "smoke" : "bench",
               rows, iterations * 6);
 
@@ -201,9 +202,9 @@ int main(int argc, char **argv) {
   const std::vector<std::string> stmts = MakeStatements(iterations, rows);
   std::vector<GridResult> grid;
   for (bool cache : {false, true}) {
-    for (bool vectorized : {false, true}) {
+    for (bool compiled : {false, true}) {
       for (bool model_opt : {false, true}) {
-        grid.push_back(RunGrid(&db, stmts, cache, vectorized, model_opt, 1024));
+        grid.push_back(RunGrid(&db, stmts, cache, compiled, model_opt, 1024));
       }
     }
   }
@@ -218,12 +219,12 @@ int main(int argc, char **argv) {
   const GridResult &baseline = grid[0];  // cache off, row, heuristic
   double best_sps = 0.0;
   for (const GridResult &r : grid) {
-    if (r.cache && r.vectorized) best_sps = std::max(best_sps, r.throughput_sps);
+    if (r.cache && r.compiled) best_sps = std::max(best_sps, r.throughput_sps);
   }
   const double speedup =
       baseline.throughput_sps > 0 ? best_sps / baseline.throughput_sps : 0.0;
   PrintKv("checksums agree across grid", checksums_agree ? "yes" : "NO");
-  PrintKv("speedup (cache+vectorized vs baseline)", Fmt(speedup) + "x");
+  PrintKv("speedup (cache+compiled vs baseline)", Fmt(speedup) + "x");
 
   // --- Optimizer-mode join comparison --------------------------------------
   // The model prices building on `dim` (16 rows) below building on `bench`;
@@ -240,7 +241,7 @@ int main(int argc, char **argv) {
   bool model_reordered = false;
   for (int opt = 0; opt <= 1; opt++) {
     db.settings().SetInt("sql_plan_cache_capacity", 0);
-    db.settings().SetInt("execution_mode", 2);
+    db.settings().SetInt("execution_mode", 1);
     db.settings().SetInt("optimizer_mode", opt);
     db.plan_cache().Clear();
     const uint64_t reordered_before = reordered_counter.Value();
@@ -276,10 +277,10 @@ int main(int argc, char **argv) {
   for (size_t i = 0; i < grid.size(); i++) {
     const GridResult &r = grid[i];
     std::fprintf(f,
-                 "    {\"cache\": %s, \"vectorized\": %s, \"model_opt\": %s, "
+                 "    {\"cache\": %s, \"compiled\": %s, \"model_opt\": %s, "
                  "\"statements\": %zu, \"failures\": %zu, "
                  "\"throughput_sps\": %s, \"cache_hits\": %llu}%s\n",
-                 r.cache ? "true" : "false", r.vectorized ? "true" : "false",
+                 r.cache ? "true" : "false", r.compiled ? "true" : "false",
                  r.model_opt ? "true" : "false", r.statements, r.failures,
                  Fmt(r.throughput_sps).c_str(),
                  static_cast<unsigned long long>(r.cache_hits),
@@ -287,7 +288,7 @@ int main(int argc, char **argv) {
   }
   std::fprintf(f,
                "  ],\n  \"checksums_agree\": %s,\n"
-               "  \"speedup_cache_vectorized\": %s,\n"
+               "  \"speedup_cache_compiled\": %s,\n"
                "  \"join\": {\"heuristic_sps\": %s, \"model_sps\": %s, "
                "\"model_reordered\": %s, \"rows_agree\": %s}\n}\n",
                checksums_agree ? "true" : "false", Fmt(speedup).c_str(),

@@ -24,12 +24,10 @@ SettingsManager::SettingsManager() {
   knobs_["net_worker_threads"] = {4.0, KnobKind::kResource};
   knobs_["net_queue_depth"] = {256.0, KnobKind::kResource};
   knobs_["net_default_deadline_ms"] = {5000.0, KnobKind::kBehavior};
-  // SQL fast path (src/sql/plan_cache, src/plan/cost_optimizer, vectorized
-  // exec). All three are hot-tunable: capacity is re-read on every cache
-  // insert, optimizer mode on every planning call, and batch size at query
-  // start. 0 capacity disables plan caching.
+  // SQL fast path (src/sql/plan_cache, src/plan/cost_optimizer). Both are
+  // hot-tunable: capacity is re-read on every cache insert, optimizer mode
+  // on every planning call. 0 capacity disables plan caching.
   knobs_["sql_plan_cache_capacity"] = {1024.0, KnobKind::kResource};
-  knobs_["vector_batch_size"] = {1024.0, KnobKind::kBehavior};
   knobs_["optimizer_mode"] = {0.0, KnobKind::kBehavior};  // 0=heuristic 1=model
   // Replication (src/repl). Heartbeat period doubles as the follower's idle
   // fetch-poll period; batch bytes caps one shipped log batch; the grace
@@ -82,6 +80,12 @@ Status SettingsManager::SetInt(const std::string &name, int64_t value,
 
 Status SettingsManager::SetDouble(const std::string &name, double value,
                                   const std::string &source) {
+  // Cast straight into ExecutionMode by GetExecutionMode, so only the
+  // enumerators' values are admitted.
+  if (name == "execution_mode" && value != 0.0 && value != 1.0) {
+    return Status::InvalidArgument(
+        "execution_mode must be 0 (interpret) or 1 (compiled)");
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = knobs_.find(name);

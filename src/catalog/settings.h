@@ -32,13 +32,14 @@ struct KnobChange {
   int64_t time_us = 0;  ///< µs since process start (metrics timeline)
 };
 
-/// Query execution strategy. Interpret runs Volcano-style iterators with
-/// virtual dispatch; Compiled runs fused, batched pipelines (our stand-in
-/// for NoisePage's JIT, with a genuine measured performance difference);
-/// Vectorized runs filters/projections over typed column vectors of
-/// `vector_batch_size` rows through the SIMD primitives (same OU feature
-/// class as Compiled).
-enum class ExecutionMode : int64_t { kInterpret = 0, kCompiled = 1, kVectorized = 2 };
+/// Query execution strategy, the `execution_mode` knob. Interpret runs
+/// Volcano-style iterators with virtual dispatch per attribute and walks the
+/// expression tree per tuple. Compiled is our stand-in for NoisePage's JIT,
+/// with a genuine measured performance difference: scans copy attributes
+/// directly, and filters, projections and aggregate arguments run over
+/// typed column lanes in blocks (exec/vector_ops.h), the predicate fused
+/// into the sequential scan. SetDouble rejects any other knob value.
+enum class ExecutionMode : int64_t { kInterpret = 0, kCompiled = 1 };
 
 enum class KnobKind { kBehavior, kResource };
 
@@ -50,7 +51,9 @@ class SettingsManager {
   double GetDouble(const std::string &name) const;
   /// `source` attributes the change in the audit trail ("manual" default;
   /// the controller passes "controller"). No-op values are still audited —
-  /// an explicit SET to the current value is an operator decision too.
+  /// an explicit SET to the current value is an operator decision too. A
+  /// value outside the knob's domain (execution_mode other than 0 or 1)
+  /// returns InvalidArgument and changes nothing.
   Status SetInt(const std::string &name, int64_t value,
                 const std::string &source = "manual");
   Status SetDouble(const std::string &name, double value,
@@ -70,7 +73,7 @@ class SettingsManager {
   std::map<std::string, double> Snapshot() const;
 
   /// Knob defaults (also serve as documentation of the knob set):
-  ///   execution_mode          0=interpret 1=compiled 2=vector   (behavior)
+  ///   execution_mode          0=interpret 1=compiled            (behavior)
   ///   log_flush_interval_us   WAL flush period                  (behavior)
   ///   gc_interval_us          garbage-collection period         (behavior)
   ///   index_build_threads     parallel index-build degree       (behavior)
@@ -81,7 +84,6 @@ class SettingsManager {
   ///   net_queue_depth         server admission bound (hot)      (resource)
   ///   net_default_deadline_ms per-request deadline (hot; 0=off) (behavior)
   ///   sql_plan_cache_capacity plan-cache entries (hot; 0=off)   (resource)
-  ///   vector_batch_size       rows per vectorized batch (hot)   (behavior)
   ///   optimizer_mode          0=heuristic, 1=model-costed (hot) (behavior)
   ///   repl_heartbeat_ms       heartbeat + idle fetch period     (behavior)
   ///   repl_batch_bytes        max bytes per shipped log batch   (resource)

@@ -32,6 +32,13 @@
     }                                                                          \
   } while (0)
 
-#define MB2_UNREACHABLE(message) MB2_ASSERT(false, message)
+/// Marks a path no valid input reaches. Unconditional, so the compiler sees
+/// that control never continues past it.
+#define MB2_UNREACHABLE(message)                                               \
+  do {                                                                         \
+    std::fprintf(stderr, "unreachable code at %s:%d: %s\n", __FILE__,         \
+                 __LINE__, (message));                                         \
+    std::abort();                                                              \
+  } while (0)
 
 #define MB2_UNUSED(x) ((void)(x))

@@ -118,7 +118,7 @@ std::vector<Action> GenerateCandidates(
       double values[3];
       int count;
     } kPalette[] = {
-        {"execution_mode", {0, 1, 2}, 3},
+        {"execution_mode", {0, 1}, 2},
         {"gc_interval_us", {1000, 10000, 100000}, 3},
         {"log_flush_interval_us", {1000, 10000, 100000}, 3},
         {"net_queue_depth", {64, 256, 1024}, 3},

@@ -8,107 +8,11 @@ namespace mb2 {
 CompiledExpression::CompiledExpression(const Expression &expr) {
   Flatten(expr);
   stack_.reserve(program_.size());
-  numeric_stack_.reserve(program_.size());
 }
 
 bool CompiledExpression::EvaluateBool(const Tuple &row) const {
-  if (numeric_) return EvaluateNumeric(row) != 0.0;
   const Value v = Evaluate(row);
   return v.type() == TypeId::kDouble ? v.AsDouble() != 0.0 : v.AsInt() != 0;
-}
-
-double CompiledExpression::EvaluateNumeric(const Tuple &row) const {
-  MB2_ASSERT(numeric_, "numeric fast path on a varchar expression");
-  // Indexed stacks sized once at compile time: the hot loop performs no
-  // allocation or bounds bookkeeping. Integer-typedness is only tracked
-  // when the program contains a division (the one operator whose int and
-  // double semantics differ).
-  if (numeric_stack_.size() < program_.size()) {
-    numeric_stack_.resize(program_.size());
-    int_stack_.resize(program_.size());
-  }
-  double *stack = numeric_stack_.data();
-  uint8_t *ints = int_stack_.data();
-  size_t top = 0;  // next free slot
-
-  for (const Op &op : program_) {
-    switch (op.kind) {
-      case ExprType::kColumnRef:
-        stack[top] = row[op.idx].AsDouble();
-        if (tracks_int_) {
-          ints[top] = row[op.idx].type() == TypeId::kInteger ? 1 : 0;
-        }
-        top++;
-        break;
-      case ExprType::kConstant:
-        stack[top] = op.numeric_constant;
-        if (tracks_int_) {
-          ints[top] = op.constant.type() == TypeId::kInteger ? 1 : 0;
-        }
-        top++;
-        break;
-      case ExprType::kArithmetic: {
-        const double b = stack[--top];
-        double &a = stack[top - 1];
-        switch (static_cast<ArithOp>(op.sub)) {
-          case ArithOp::kAdd: a += b; break;
-          case ArithOp::kSub: a -= b; break;
-          case ArithOp::kMul: a *= b; break;
-          case ArithOp::kDiv: {
-            // Integer division truncates, matching the interpreter exactly;
-            // values stay exact in a double up to 2^53.
-            const bool both_int =
-                tracks_int_ && ints[top] != 0 && ints[top - 1] != 0;
-            if (both_int) {
-              a = b == 0.0 ? 0.0
-                           : static_cast<double>(static_cast<int64_t>(a) /
-                                                 static_cast<int64_t>(b));
-            } else {
-              a = b == 0.0 ? 0.0 : a / b;
-            }
-            break;
-          }
-        }
-        if (tracks_int_) {
-          ints[top - 1] = (ints[top] != 0 && ints[top - 1] != 0) ? 1 : 0;
-        }
-        break;
-      }
-      case ExprType::kComparison: {
-        const double b = stack[--top];
-        double &a = stack[top - 1];
-        bool r = false;
-        switch (static_cast<CmpOp>(op.sub)) {
-          case CmpOp::kEq: r = a == b; break;
-          case CmpOp::kNe: r = a != b; break;
-          case CmpOp::kLt: r = a < b; break;
-          case CmpOp::kLe: r = a <= b; break;
-          case CmpOp::kGt: r = a > b; break;
-          case CmpOp::kGe: r = a >= b; break;
-        }
-        a = r ? 1.0 : 0.0;
-        if (tracks_int_) ints[top - 1] = 1;
-        break;
-      }
-      case ExprType::kLogic: {
-        const auto lop = static_cast<LogicOp>(op.sub);
-        if (lop == LogicOp::kNot) {
-          double &a = stack[top - 1];
-          a = a == 0.0 ? 1.0 : 0.0;
-        } else {
-          const double b = stack[--top];
-          double &a = stack[top - 1];
-          const bool r = lop == LogicOp::kAnd ? (a != 0.0 && b != 0.0)
-                                              : (a != 0.0 || b != 0.0);
-          a = r ? 1.0 : 0.0;
-        }
-        if (tracks_int_) ints[top - 1] = 1;
-        break;
-      }
-    }
-  }
-  MB2_ASSERT(top == 1, "unbalanced expression program");
-  return stack[0];
 }
 
 void CompiledExpression::Flatten(const Expression &expr) {
@@ -121,15 +25,9 @@ void CompiledExpression::Flatten(const Expression &expr) {
       break;
     case ExprType::kConstant:
       op.constant = expr.constant;
-      if (expr.constant.type() == TypeId::kVarchar) {
-        numeric_ = false;
-      } else {
-        op.numeric_constant = expr.constant.AsDouble();
-      }
       break;
     case ExprType::kArithmetic:
       op.sub = static_cast<uint8_t>(expr.arith_op);
-      if (expr.arith_op == ArithOp::kDiv) tracks_int_ = true;
       break;
     case ExprType::kComparison:
       op.sub = static_cast<uint8_t>(expr.cmp_op);

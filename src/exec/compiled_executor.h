@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file compiled_executor.h
-/// The "compiled" execution mode's expression engine: a flattened postfix
-/// program replacing the recursive interpreter. This is our stand-in for
-/// NoisePage's JIT (Sec 2/4.2's execution-mode knob): no code generation,
-/// but the same qualitative effect — a measurably cheaper per-tuple path
-/// that the exec_mode OU feature must capture. Note the postfix form cannot
-/// short-circuit AND/OR; both sides always evaluate.
+/// The compiled execution mode's scalar expression program: a flattened
+/// postfix form of the recursive interpreter. Compiled mode evaluates
+/// expressions over typed column lanes (exec/vector_ops.h); this program
+/// answers, row at a time, the blocks those lanes cannot hold (varchar
+/// operands), with results identical to Expression::Evaluate. Note the
+/// postfix form cannot short-circuit AND/OR; both sides always evaluate.
 
 #include <vector>
 
@@ -22,31 +22,18 @@ class CompiledExpression {
   Value Evaluate(const Tuple &row) const;
   bool EvaluateBool(const Tuple &row) const;
 
-  size_t ProgramLength() const { return program_.size(); }
-  /// True when the numeric fast path compiled (no varchar operands).
-  bool IsNumeric() const { return numeric_; }
-
-  /// Fast path: evaluates on a raw double stack with no Value construction.
-  /// Only valid when IsNumeric(); booleans are 0.0 / 1.0.
-  double EvaluateNumeric(const Tuple &row) const;
-
  private:
   struct Op {
     ExprType kind = ExprType::kConstant;
     uint8_t sub = 0;   // ArithOp / CmpOp / LogicOp
     uint32_t idx = 0;  // column index
     Value constant;
-    double numeric_constant = 0.0;
   };
 
   void Flatten(const Expression &expr);
 
   std::vector<Op> program_;
-  bool numeric_ = true;
-  bool tracks_int_ = false;  ///< program divides: int semantics matter
   mutable std::vector<Value> stack_;
-  mutable std::vector<double> numeric_stack_;
-  mutable std::vector<uint8_t> int_stack_;  ///< integer-typedness, parallel
 };
 
 }  // namespace mb2

@@ -42,12 +42,9 @@ class ExecutionContext {
   Catalog *catalog() const { return catalog_; }
   SettingsManager *settings() const { return settings_; }
   ExecutionMode mode() const { return mode_; }
-  void set_mode(ExecutionMode mode) { mode_ = mode; }
-  /// OU exec_mode feature. Vectorized shares the compiled feature class
-  /// (both remove the interpreter's per-attribute dispatch); models trained
-  /// on modes 0/1 stay applicable.
+  /// OU exec_mode feature: the knob value, 0 interpret / 1 compiled.
   double ModeFeature() const {
-    return mode_ == ExecutionMode::kInterpret ? 0.0 : 1.0;
+    return mode_ == ExecutionMode::kCompiled ? 1.0 : 0.0;
   }
 
   /// Simulated network sink written by the OUTPUT OU.

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <unordered_map>
 
-#include "exec/compiled_executor.h"
 #include "exec/interpreter.h"
 #include "exec/vector_ops.h"
 #include "index/bplus_tree.h"
@@ -21,17 +20,10 @@ namespace {
 // Helpers
 // ---------------------------------------------------------------------------
 
-/// Rows per vectorized block, re-read from the (hot) knob per operator.
-size_t VectorBlockRows(ExecutionContext *ctx) {
-  const int64_t knob = ctx->settings()->GetInt("vector_batch_size");
-  return knob > 0 ? static_cast<size_t>(knob) : 1;
-}
-
 /// Evaluates `expr` over every row of `batch`, keeping matches. Tracked as
 /// the ARITHMETIC (filter) OU. The interpret path walks the expression tree
-/// per tuple; the compiled path runs the flattened program; the vectorized
-/// path evaluates typed column lanes block-at-a-time (falling back to the
-/// compiled path for varchar predicates).
+/// per tuple; the compiled path evaluates typed column lanes
+/// block-at-a-time.
 void FilterBatch(const Expression &expr, ExecutionContext *ctx, Batch *batch) {
   const double n = static_cast<double>(batch->NumRows());
   OuTrackerScope scope(OuType::kArithmetic,
@@ -39,32 +31,19 @@ void FilterBatch(const Expression &expr, ExecutionContext *ctx, Batch *batch) {
                         ctx->ModeFeature()});
   const bool with_slots = !batch->slots.empty();
   WorkStats::Current().tuples_processed += batch->rows.size();
-  if (ctx->mode() == ExecutionMode::kVectorized &&
-      VectorizedFilter(expr, VectorBlockRows(ctx), &batch->rows,
-                       with_slots ? &batch->slots : nullptr)) {
+  if (ctx->mode() == ExecutionMode::kCompiled) {
+    VectorizedFilter(expr, kVectorBlockRows, &batch->rows,
+                     with_slots ? &batch->slots : nullptr);
     return;
   }
   size_t kept = 0;
-  if (ctx->mode() != ExecutionMode::kInterpret) {
-    CompiledExpression compiled(expr);
-    for (size_t i = 0; i < batch->rows.size(); i++) {
-      if (compiled.EvaluateBool(batch->rows[i])) {
-        if (kept != i) {
-          batch->rows[kept] = std::move(batch->rows[i]);
-          if (with_slots) batch->slots[kept] = batch->slots[i];
-        }
-        kept++;
+  for (size_t i = 0; i < batch->rows.size(); i++) {
+    if (expr.EvaluateBool(batch->rows[i])) {
+      if (kept != i) {
+        batch->rows[kept] = std::move(batch->rows[i]);
+        if (with_slots) batch->slots[kept] = batch->slots[i];
       }
-    }
-  } else {
-    for (size_t i = 0; i < batch->rows.size(); i++) {
-      if (expr.EvaluateBool(batch->rows[i])) {
-        if (kept != i) {
-          batch->rows[kept] = std::move(batch->rows[i]);
-          if (with_slots) batch->slots[kept] = batch->slots[i];
-        }
-        kept++;
-      }
+      kept++;
     }
   }
   batch->rows.resize(kept);
@@ -93,8 +72,7 @@ Tuple ProjectRow(const Tuple &row, const std::vector<uint32_t> &columns) {
 void EmitRow(ExecutionMode mode, const TupleAccessor &accessor,
              const Tuple &row, const std::vector<uint32_t> &columns,
              std::vector<Tuple> *out) {
-  if (mode != ExecutionMode::kInterpret) {
-    // Compiled and vectorized modes both copy attributes directly.
+  if (mode == ExecutionMode::kCompiled) {
     out->push_back(ProjectRow(row, columns));
     return;
   }
@@ -133,7 +111,7 @@ bool KeysEqual(const Tuple &a, const std::vector<uint32_t> &a_cols,
 // Scans
 // ---------------------------------------------------------------------------
 
-/// Vectorized scan fast path: the predicate is evaluated in blocks directly
+/// Compiled scan fast path: the predicate is evaluated in blocks directly
 /// over the tuples sitting in the version chains (gather by pointer), and
 /// only surviving rows are materialized into the batch — a selective scan
 /// skips the per-row copy for everything it rejects. The filter's work is
@@ -141,23 +119,22 @@ bool KeysEqual(const Tuple &a, const std::vector<uint32_t> &a_cols,
 /// separate ARITHMETIC OU is recorded; results are bit-identical to the
 /// materialize-then-filter path because blocks preserve slot order.
 Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
-                        Table *table, SlotId num_slots,
-                        VectorizedExpression *vec, Batch *out) {
+                        Table *table, SlotId num_slots, Batch *out) {
   FeatureVector features = MakeExecFeatures(
       static_cast<double>(num_slots),
       static_cast<double>(table->schema().NumColumns()),
       table->schema().TupleByteSize(), 0.0, 0.0, 1.0, ctx->ModeFeature());
   OuTrackerScope scope(OuType::kSeqScan, std::move(features));
 
-  const size_t block = VectorBlockRows(ctx);
+  VectorizedExpression vec(*plan.predicate);
   const uint64_t read_ts = ctx->txn()->read_ts();
   const uint64_t reader_txn = ctx->txn()->txn_id();
   WorkStats &ws = WorkStats::Current();
 
   std::vector<const Tuple *> ptrs;
   std::vector<SlotId> slots;
-  ptrs.reserve(block);
-  slots.reserve(block);
+  ptrs.reserve(kVectorBlockRows);
+  slots.reserve(kVectorBlockRows);
   uint64_t visible = 0;
 
   auto flush = [&] {
@@ -165,19 +142,11 @@ Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
     // tuples_processed counts the filter pass over visible rows, matching
     // the separate FilterBatch call of the unfused path.
     ws.tuples_processed += ptrs.size();
-    if (vec->EvaluateBlock(ptrs.data(), ptrs.size())) {
-      for (size_t l = 0; l < ptrs.size(); l++) {
-        if (!vec->LaneBool(l)) continue;
-        out->rows.push_back(*ptrs[l]);
-        if (plan.with_slots) out->slots.push_back(slots[l]);
-      }
-    } else {
-      // Varchar value in this block: scalar fallback, same results.
-      for (size_t l = 0; l < ptrs.size(); l++) {
-        if (!plan.predicate->EvaluateBool(*ptrs[l])) continue;
-        out->rows.push_back(*ptrs[l]);
-        if (plan.with_slots) out->slots.push_back(slots[l]);
-      }
+    vec.EvaluateBlock(ptrs.data(), ptrs.size());
+    for (size_t l = 0; l < ptrs.size(); l++) {
+      if (!vec.LaneBool(l)) continue;
+      out->rows.push_back(*ptrs[l]);
+      if (plan.with_slots) out->slots.push_back(slots[l]);
     }
     ptrs.clear();
     slots.clear();
@@ -194,7 +163,7 @@ Status ExecSeqScanFused(const SeqScanPlan &plan, ExecutionContext *ctx,
     visible++;
     ptrs.push_back(&node->data);
     slots.push_back(slot);
-    if (ptrs.size() >= block) flush();
+    if (ptrs.size() >= kVectorBlockRows) flush();
   }
   flush();
   // Feature parity with the unfused path: cardinality = visible (pre-filter)
@@ -270,12 +239,9 @@ Status ExecSeqScan(const SeqScanPlan &plan, ExecutionContext *ctx, Batch *out) {
     // don't have — disk scans always take the staged path.
     return ExecSeqScanDisk(plan, ctx, table, num_slots, out);
   }
-  if (ctx->mode() == ExecutionMode::kVectorized && plan.predicate != nullptr &&
+  if (ctx->mode() == ExecutionMode::kCompiled && plan.predicate != nullptr &&
       plan.columns.empty()) {
-    VectorizedExpression vec(*plan.predicate);
-    if (vec.Supported()) {
-      return ExecSeqScanFused(plan, ctx, table, num_slots, &vec, out);
-    }
+    return ExecSeqScanFused(plan, ctx, table, num_slots, out);
   }
   {
     FeatureVector features = MakeExecFeatures(
@@ -363,26 +329,11 @@ Status ExecHashJoin(const HashJoinPlan &plan, ExecutionContext *ctx,
     OuTrackerScope scope(OuType::kHashJoinBuild, std::move(features));
     ht.reserve(build.rows.size());
     WorkStats &ws = WorkStats::Current();
-    // Vectorized mode hoists key hashing out of the insertion loop and runs
-    // it vector-at-a-time; insertion order (hence results) is unchanged.
-    std::vector<uint64_t> hashes;
-    if (ctx->mode() == ExecutionMode::kVectorized) {
-      hashes.resize(build.rows.size());
-      const size_t block = VectorBlockRows(ctx);
-      for (size_t begin = 0; begin < build.rows.size(); begin += block) {
-        const size_t end = std::min(begin + block, build.rows.size());
-        for (size_t i = begin; i < end; i++) {
-          hashes[i] = HashColumns(build.rows[i], plan.build_keys);
-        }
-      }
-    }
     // Sec 8.5's simulated "software update": a 1µs stall every N inserts.
     const auto sleep_every = static_cast<uint64_t>(
         ctx->settings()->GetDouble("jht_sleep_every_n"));
     for (uint32_t i = 0; i < build.rows.size(); i++) {
-      ht[hashes.empty() ? HashColumns(build.rows[i], plan.build_keys)
-                        : hashes[i]]
-          .push_back(i);
+      ht[HashColumns(build.rows[i], plan.build_keys)].push_back(i);
       ws.hash_ops++;
       if (sleep_every != 0 && (i + 1) % sleep_every == 0) {
         const auto deadline =
@@ -408,23 +359,9 @@ Status ExecHashJoin(const HashJoinPlan &plan, ExecutionContext *ctx,
         probe.AvgTupleBytes(), 0.0, payload, 1.0, ctx->ModeFeature());
     OuTrackerScope scope(OuType::kHashJoinProbe, std::move(features));
     WorkStats &ws = WorkStats::Current();
-    std::vector<uint64_t> hashes;
-    if (ctx->mode() == ExecutionMode::kVectorized) {
-      hashes.resize(probe.rows.size());
-      const size_t block = VectorBlockRows(ctx);
-      for (size_t begin = 0; begin < probe.rows.size(); begin += block) {
-        const size_t end = std::min(begin + block, probe.rows.size());
-        for (size_t i = begin; i < end; i++) {
-          hashes[i] = HashColumns(probe.rows[i], plan.probe_keys);
-        }
-      }
-    }
-    for (size_t p = 0; p < probe.rows.size(); p++) {
-      const auto &probe_row = probe.rows[p];
+    for (const auto &probe_row : probe.rows) {
       ws.hash_ops++;
-      auto it = ht.find(hashes.empty()
-                            ? HashColumns(probe_row, plan.probe_keys)
-                            : hashes[p]);
+      auto it = ht.find(HashColumns(probe_row, plan.probe_keys));
       if (it == ht.end()) continue;
       for (uint32_t build_idx : it->second) {
         const Tuple &build_row = build.rows[build_idx];
@@ -494,16 +431,6 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
   std::unordered_map<uint64_t, Group> groups;
   const double n = static_cast<double>(input.NumRows());
 
-  // Pre-compile the aggregate argument expressions once per execution
-  // (vectorized mode shares the compiled per-tuple path here).
-  std::vector<std::unique_ptr<CompiledExpression>> compiled;
-  if (ctx->mode() != ExecutionMode::kInterpret) {
-    for (const auto &term : plan.terms) {
-      compiled.push_back(term.arg ? std::make_unique<CompiledExpression>(*term.arg)
-                                  : nullptr);
-    }
-  }
-
   {
     FeatureVector features = MakeExecFeatures(
         n, static_cast<double>(input.rows.empty() ? 0 : input.rows[0].size()),
@@ -512,50 +439,20 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
         1.0, ctx->ModeFeature());
     OuTrackerScope scope(OuType::kAggBuild, std::move(features));
     WorkStats &ws = WorkStats::Current();
-    // Vectorized mode hoists key hashing and aggregate-argument evaluation
-    // out of the grouping loop and runs both vector-at-a-time; the per-row
-    // loop below then only does hash-table ops. Lane doubles are the
-    // interpreter's AsDouble() view, so accumulated sums stay bit-identical.
-    std::vector<uint64_t> hashes;
+    // Compiled mode evaluates each aggregate argument column-at-a-time
+    // ahead of the grouping loop. Lane doubles are the interpreter's
+    // AsDouble() view, so accumulated sums stay bit-identical.
+    const bool compiled = ctx->mode() == ExecutionMode::kCompiled;
     std::vector<std::vector<double>> term_vals(plan.terms.size());
-    if (ctx->mode() == ExecutionMode::kVectorized && !input.rows.empty()) {
-      const size_t block = VectorBlockRows(ctx);
-      if (!plan.group_by.empty()) {
-        hashes.resize(input.rows.size());
-        for (size_t begin = 0; begin < input.rows.size(); begin += block) {
-          const size_t end = std::min(begin + block, input.rows.size());
-          for (size_t i = begin; i < end; i++) {
-            hashes[i] = HashColumns(input.rows[i], plan.group_by);
-          }
-        }
-      }
-      for (size_t t = 0; t < plan.terms.size(); t++) {
-        if (plan.terms[t].arg == nullptr) continue;
-        VectorizedExpression vec(*plan.terms[t].arg);
-        if (!vec.Supported()) continue;
-        std::vector<double> vals(input.rows.size());
-        bool ok = true;
-        for (size_t begin = 0; ok && begin < input.rows.size();
-             begin += block) {
-          const size_t n_rows = std::min(block, input.rows.size() - begin);
-          if (!vec.EvaluateBlock(input.rows, begin, n_rows)) {
-            ok = false;  // varchar column value: keep the per-row path
-            break;
-          }
-          for (size_t l = 0; l < n_rows; l++) {
-            vals[begin + l] = vec.LaneDouble(l);
-          }
-        }
-        if (ok) term_vals[t] = std::move(vals);
-      }
+    for (size_t t = 0; compiled && t < plan.terms.size(); t++) {
+      if (plan.terms[t].arg == nullptr) continue;
+      term_vals[t] =
+          VectorizedDoubles(*plan.terms[t].arg, kVectorBlockRows, input.rows);
     }
     for (size_t r = 0; r < input.rows.size(); r++) {
       const auto &row = input.rows[r];
-      const uint64_t h = plan.group_by.empty()
-                             ? 0
-                             : (hashes.empty()
-                                    ? HashColumns(row, plan.group_by)
-                                    : hashes[r]);
+      const uint64_t h =
+          plan.group_by.empty() ? 0 : HashColumns(row, plan.group_by);
       ws.hash_ops++;
       auto [it, inserted] = groups.try_emplace(h);
       Group &g = it->second;
@@ -569,12 +466,8 @@ Status ExecAggregate(const AggregatePlan &plan, ExecutionContext *ctx,
         const auto &term = plan.terms[t];
         if (term.arg == nullptr) {
           g.accs[t].AddCountOnly();
-        } else if (!term_vals[t].empty()) {
+        } else if (compiled) {
           g.accs[t].Add(term_vals[t][r]);
-        } else if (ctx->mode() != ExecutionMode::kInterpret) {
-          g.accs[t].Add(compiled[t]->IsNumeric()
-                            ? compiled[t]->EvaluateNumeric(row)
-                            : compiled[t]->Evaluate(row).AsDouble());
         } else {
           g.accs[t].Add(term.arg->Evaluate(row).AsDouble());
         }
@@ -678,31 +571,16 @@ Status ExecProjection(const ProjectionPlan &plan, ExecutionContext *ctx,
                             static_cast<double>(complexity), ctx->ModeFeature()};
   OuTrackerScope scope(OuType::kArithmetic, std::move(features));
 
-  if (ctx->mode() == ExecutionMode::kVectorized &&
-      VectorizedProject(plan.exprs, VectorBlockRows(ctx), input.rows,
-                        &out->rows)) {
-    WorkStats::Current().tuples_processed += out->rows.size();
-    return Status::Ok();
-  }
-  std::vector<std::unique_ptr<CompiledExpression>> compiled;
-  if (ctx->mode() != ExecutionMode::kInterpret) {
-    for (const auto &e : plan.exprs) {
-      compiled.push_back(std::make_unique<CompiledExpression>(*e));
-    }
-  }
-  out->rows.reserve(input.rows.size());
-  for (const auto &row : input.rows) {
-    Tuple projected;
-    projected.reserve(plan.exprs.size());
-    if (ctx->mode() != ExecutionMode::kInterpret) {
-      // The Value-typed program preserves integer results exactly; the
-      // numeric fast path is reserved for filters and aggregates where the
-      // output is a double or a boolean anyway.
-      for (const auto &ce : compiled) projected.push_back(ce->Evaluate(row));
-    } else {
+  if (ctx->mode() == ExecutionMode::kCompiled) {
+    VectorizedProject(plan.exprs, kVectorBlockRows, input.rows, &out->rows);
+  } else {
+    out->rows.reserve(input.rows.size());
+    for (const auto &row : input.rows) {
+      Tuple projected;
+      projected.reserve(plan.exprs.size());
       for (const auto &e : plan.exprs) projected.push_back(e->Evaluate(row));
+      out->rows.push_back(std::move(projected));
     }
-    out->rows.push_back(std::move(projected));
   }
   WorkStats::Current().tuples_processed += out->rows.size();
   return Status::Ok();

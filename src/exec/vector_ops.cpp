@@ -53,7 +53,10 @@ inline double DblArith(ArithOp op, double a, double b) {
 
 }  // namespace
 
-VectorizedExpression::VectorizedExpression(const Expression &expr) {
+VectorizedExpression::VectorizedExpression(const Expression &expr)
+    : expr_(&expr) {
+  // A binary tree has at most one more leaf than operators.
+  nodes_.reserve(2 * expr.Complexity() + 1);
   Flatten(expr);
   lanes_.resize(nodes_.size());
 }
@@ -88,27 +91,48 @@ int32_t VectorizedExpression::Flatten(const Expression &expr) {
 
 bool VectorizedExpression::EvaluateBlock(const std::vector<Tuple> &rows,
                                          size_t begin, size_t n) {
-  if (!supported_) return false;
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    if (!EvalNode(nodes_[i], &lanes_[i], rows, nullptr, begin, n)) return false;
-  }
-  return true;
+  return Evaluate(rows, nullptr, begin, n);
 }
 
 bool VectorizedExpression::EvaluateBlock(const Tuple *const *rows, size_t n) {
-  if (!supported_) return false;
   static const std::vector<Tuple> kNoBatch;
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    if (!EvalNode(nodes_[i], &lanes_[i], kNoBatch, rows, 0, n)) return false;
+  return Evaluate(kNoBatch, rows, 0, n);
+}
+
+bool VectorizedExpression::Evaluate(const std::vector<Tuple> &rows,
+                                    const Tuple *const *row_ptrs, size_t begin,
+                                    size_t n) {
+  scalar_block_ = !supported_;
+  if (!scalar_block_ && n > lane_capacity_) {
+    // One allocation per lane type for the whole tree; node i owns the
+    // i-th run of `n` lanes.
+    lane_capacity_ = n;
+    ints_.resize(nodes_.size() * n);
+    dbls_.resize(nodes_.size() * n);
+    is_int_.resize(nodes_.size() * n);
+    for (size_t i = 0; i < nodes_.size(); i++) {
+      lanes_[i].ints = ints_.data() + i * n;
+      lanes_[i].dbls = dbls_.data() + i * n;
+      lanes_[i].is_int = is_int_.data() + i * n;
+    }
   }
-  return true;
+  for (size_t i = 0; i < nodes_.size() && !scalar_block_; i++) {
+    scalar_block_ = !EvalNode(nodes_[i], &lanes_[i], rows, row_ptrs, begin, n);
+  }
+  if (!scalar_block_) return true;
+  if (!scalar_) scalar_.emplace(*expr_);
+  scalar_vals_.clear();
+  for (size_t l = 0; l < n; l++) {
+    const Tuple &row = row_ptrs != nullptr ? *row_ptrs[l] : rows[begin + l];
+    scalar_vals_.push_back(scalar_->Evaluate(row));
+  }
+  return false;
 }
 
 bool VectorizedExpression::EvalNode(const Node &node, Lanes *out,
                                     const std::vector<Tuple> &rows,
                                     const Tuple *const *row_ptrs, size_t begin,
                                     size_t n) {
-  out->Resize(n);
   switch (node.type) {
     case ExprType::kColumnRef: {
       bool all_int = true, has_int = false;
@@ -132,10 +156,9 @@ bool VectorizedExpression::EvalNode(const Node &node, Lanes *out,
       return true;
     }
     case ExprType::kConstant: {
-      std::fill(out->ints.begin(), out->ints.end(), node.const_int);
-      std::fill(out->dbls.begin(), out->dbls.end(), node.const_dbl);
-      std::fill(out->is_int.begin(), out->is_int.end(),
-                node.const_is_int ? uint8_t{1} : uint8_t{0});
+      std::fill_n(out->ints, n, node.const_int);
+      std::fill_n(out->dbls, n, node.const_dbl);
+      std::fill_n(out->is_int, n, node.const_is_int ? uint8_t{1} : uint8_t{0});
       out->all_int = node.const_is_int && n > 0;
       out->has_int = node.const_is_int;
       return true;
@@ -149,7 +172,7 @@ bool VectorizedExpression::EvalNode(const Node &node, Lanes *out,
           out->ints[l] = r;
           out->dbls[l] = static_cast<double>(r);
         }
-        std::fill(out->is_int.begin(), out->is_int.end(), uint8_t{1});
+        std::fill_n(out->is_int, n, uint8_t{1});
         out->all_int = n > 0;
         out->has_int = n > 0;
       } else if (!a.has_int || !b.has_int) {
@@ -157,7 +180,7 @@ bool VectorizedExpression::EvalNode(const Node &node, Lanes *out,
         for (size_t l = 0; l < n; l++) {
           out->dbls[l] = DblArith(node.arith_op, a.dbls[l], b.dbls[l]);
         }
-        std::fill(out->is_int.begin(), out->is_int.end(), uint8_t{0});
+        std::fill_n(out->is_int, n, uint8_t{0});
         out->all_int = false;
         out->has_int = false;
       } else {
@@ -205,7 +228,7 @@ bool VectorizedExpression::EvalNode(const Node &node, Lanes *out,
       for (size_t l = 0; l < n; l++) {
         out->dbls[l] = static_cast<double>(out->ints[l]);
       }
-      std::fill(out->is_int.begin(), out->is_int.end(), uint8_t{1});
+      std::fill_n(out->is_int, n, uint8_t{1});
       out->all_int = n > 0;
       out->has_int = n > 0;
       return true;
@@ -240,7 +263,7 @@ bool VectorizedExpression::EvalNode(const Node &node, Lanes *out,
       for (size_t l = 0; l < n; l++) {
         out->dbls[l] = static_cast<double>(out->ints[l]);
       }
-      std::fill(out->is_int.begin(), out->is_int.end(), uint8_t{1});
+      std::fill_n(out->is_int, n, uint8_t{1});
       out->all_int = n > 0;
       out->has_int = n > 0;
       return true;
@@ -250,31 +273,32 @@ bool VectorizedExpression::EvalNode(const Node &node, Lanes *out,
 }
 
 bool VectorizedExpression::LaneBool(size_t lane) const {
+  if (scalar_block_) {
+    const Value &v = scalar_vals_[lane];
+    return v.type() == TypeId::kDouble ? v.AsDouble() != 0.0 : v.AsInt() != 0;
+  }
   return lanes_.back().dbls[lane] != 0.0;
 }
 
 Value VectorizedExpression::LaneValue(size_t lane) const {
+  if (scalar_block_) return scalar_vals_[lane];
   const Lanes &root = lanes_.back();
   return root.is_int[lane] ? Value::Integer(root.ints[lane])
                            : Value::Double(root.dbls[lane]);
 }
 
-bool VectorizedFilter(const Expression &expr, size_t block_rows,
+void VectorizedFilter(const Expression &expr, size_t block_rows,
                       std::vector<Tuple> *rows, std::vector<SlotId> *slots) {
   VectorizedExpression vec(expr);
-  if (!vec.Supported()) return false;
   if (block_rows == 0) block_rows = 1;
   const size_t total = rows->size();
   size_t kept = 0;
   for (size_t begin = 0; begin < total; begin += block_rows) {
     const size_t n = std::min(block_rows, total - begin);
-    const bool vectorized = vec.EvaluateBlock(*rows, begin, n);
+    vec.EvaluateBlock(*rows, begin, n);
     for (size_t l = 0; l < n; l++) {
+      if (!vec.LaneBool(l)) continue;
       const size_t i = begin + l;
-      // Varchar column in this block: same results via the scalar path.
-      const bool keep =
-          vectorized ? vec.LaneBool(l) : expr.EvaluateBool((*rows)[i]);
-      if (!keep) continue;
       if (kept != i) {
         (*rows)[kept] = std::move((*rows)[i]);
         if (slots != nullptr) (*slots)[kept] = (*slots)[i];
@@ -284,17 +308,13 @@ bool VectorizedFilter(const Expression &expr, size_t block_rows,
   }
   rows->resize(kept);
   if (slots != nullptr) slots->resize(kept);
-  return true;
 }
 
-bool VectorizedProject(const std::vector<ExprPtr> &exprs, size_t block_rows,
+void VectorizedProject(const std::vector<ExprPtr> &exprs, size_t block_rows,
                        const std::vector<Tuple> &in, std::vector<Tuple> *out) {
   std::vector<VectorizedExpression> vecs;
   vecs.reserve(exprs.size());
-  for (const auto &e : exprs) {
-    vecs.emplace_back(*e);
-    if (!vecs.back().Supported()) return false;
-  }
+  for (const auto &e : exprs) vecs.emplace_back(*e);
   if (block_rows == 0) block_rows = 1;
   out->reserve(out->size() + in.size());
   for (size_t begin = 0; begin < in.size(); begin += block_rows) {
@@ -304,20 +324,25 @@ bool VectorizedProject(const std::vector<ExprPtr> &exprs, size_t block_rows,
       row.reserve(exprs.size());
       out->push_back(std::move(row));
     }
-    for (size_t e = 0; e < vecs.size(); e++) {
-      Tuple *block_out = out->data() + out->size() - n;
-      if (vecs[e].EvaluateBlock(in, begin, n)) {
-        for (size_t l = 0; l < n; l++) {
-          block_out[l].push_back(vecs[e].LaneValue(l));
-        }
-      } else {
-        for (size_t l = 0; l < n; l++) {
-          block_out[l].push_back(exprs[e]->Evaluate(in[begin + l]));
-        }
-      }
+    Tuple *block_out = out->data() + out->size() - n;
+    for (VectorizedExpression &vec : vecs) {
+      vec.EvaluateBlock(in, begin, n);
+      for (size_t l = 0; l < n; l++) block_out[l].push_back(vec.LaneValue(l));
     }
   }
-  return true;
+}
+
+std::vector<double> VectorizedDoubles(const Expression &expr, size_t block_rows,
+                                      const std::vector<Tuple> &rows) {
+  VectorizedExpression vec(expr);
+  if (block_rows == 0) block_rows = 1;
+  std::vector<double> vals(rows.size());
+  for (size_t begin = 0; begin < rows.size(); begin += block_rows) {
+    const size_t n = std::min(block_rows, rows.size() - begin);
+    vec.EvaluateBlock(rows, begin, n);
+    for (size_t l = 0; l < n; l++) vals[begin + l] = vec.LaneDouble(l);
+  }
+  return vals;
 }
 
 }  // namespace mb2

@@ -1,42 +1,56 @@
 #pragma once
 
 /// \file vector_ops.h
-/// The "vectorized" execution mode's expression engine: expressions are
+/// The compiled execution mode's expression engine: expressions are
 /// flattened once and then evaluated column-at-a-time over blocks of
-/// `vector_batch_size` rows. Each node's result lives in contiguous typed
+/// `kVectorBlockRows` rows. Each node's result lives in contiguous typed
 /// lanes (an int64 array, a double array, and a per-lane typedness byte), so
 /// the common homogeneous case runs as tight loops over raw arrays the
 /// compiler can vectorize — the same auto-vectorization contract as the
 /// ml/matrix.cpp kernels (no reassociation, ascending index order), which is
-/// what keeps vectorized results bit-identical to the row-at-a-time
+/// what keeps compiled results bit-identical to the row-at-a-time
 /// interpreter:
 ///   - int OP int stays int64 (div-by-zero yields 0),
 ///   - any double operand promotes the lane pair to double,
 ///   - comparisons compute the interpreter's three-way result (NaN compares
 ///     "greater", exactly like Value::Compare),
-///   - varchar operands are not vectorizable: a varchar constant marks the
-///     whole expression unsupported, a varchar column value makes the block
-///     fall back to the scalar path (same results, just slower).
+///   - varchar operands do not fit the lanes: a varchar constant sends every
+///     block, and a varchar column value sends its block, through the
+///     flattened scalar program of compiled_executor.h instead (same
+///     results, just slower). Every entry point below therefore answers
+///     every expression.
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/value.h"
+#include "exec/compiled_executor.h"
 #include "plan/expression.h"
 #include "storage/version.h"
 
 namespace mb2 {
 
+/// Rows per block of the compiled engine's column-at-a-time loops.
+inline constexpr size_t kVectorBlockRows = 1024;
+
 class VectorizedExpression {
  public:
+  /// `expr` must outlive this object.
   explicit VectorizedExpression(const Expression &expr);
+  // The lane views point into this object's own buffers, which a move
+  // carries along and a copy would not.
+  MB2_DISALLOW_COPY(VectorizedExpression);
+  VectorizedExpression(VectorizedExpression &&) = default;
 
-  /// False when the expression can never vectorize (varchar constant).
+  /// False when no block can use the lanes (varchar constant).
   bool Supported() const { return supported_; }
 
-  /// Evaluates rows [begin, begin+n) into the root node's lanes. Returns
-  /// false (leaving lanes unspecified) when a varchar column value was
-  /// encountered — the caller must evaluate this block row-at-a-time.
+  /// Evaluates rows [begin, begin+n); the Lane* accessors then answer for
+  /// lanes [0, n). Returns true when the typed lanes held the block, false
+  /// when it ran the scalar program; the answers are the same either way.
   bool EvaluateBlock(const std::vector<Tuple> &rows, size_t begin, size_t n);
 
   /// Gather form: evaluates `n` rows referenced by pointer (e.g. tuples
@@ -44,28 +58,25 @@ class VectorizedExpression {
   /// scan fast path filters through this and copies only the survivors.
   bool EvaluateBlock(const Tuple *const *rows, size_t n);
 
-  /// Root-lane accessors, valid after a successful EvaluateBlock.
   bool LaneBool(size_t lane) const;    ///< Expression::EvaluateBool semantics
   Value LaneValue(size_t lane) const;  ///< Expression::Evaluate semantics
-  /// Expression::Evaluate(row).AsDouble() semantics (lane double view).
-  double LaneDouble(size_t lane) const { return lanes_.back().dbls[lane]; }
+  /// Expression::Evaluate(row).AsDouble() semantics.
+  double LaneDouble(size_t lane) const {
+    return scalar_block_ ? scalar_vals_[lane].AsDouble()
+                         : lanes_.back().dbls[lane];
+  }
 
  private:
-  /// Columnar result of one expression node over the current block. The
-  /// double lanes always hold the value's AsDouble() view; the int lanes are
-  /// meaningful only where is_int says so.
+  /// Columnar result of one expression node over the current block, a view
+  /// into the lane buffers below. The double lanes always hold the value's
+  /// AsDouble() view; the int lanes are meaningful only where is_int says
+  /// so.
   struct Lanes {
-    std::vector<int64_t> ints;
-    std::vector<double> dbls;
-    std::vector<uint8_t> is_int;
+    int64_t *ints = nullptr;
+    double *dbls = nullptr;
+    uint8_t *is_int = nullptr;
     bool all_int = false;  ///< every lane integer: int fast loops apply
     bool has_int = false;  ///< no lane integer: pure double loops apply
-
-    void Resize(size_t n) {
-      ints.resize(n);
-      dbls.resize(n);
-      is_int.resize(n);
-    }
   };
 
   /// One flattened node; children precede parents (postorder), so a single
@@ -84,28 +95,42 @@ class VectorizedExpression {
 
   int32_t Flatten(const Expression &expr);
   /// `rows`/`begin` index a contiguous batch; `row_ptrs` (when non-null)
-  /// takes precedence and gathers by pointer instead.
+  /// takes precedence and gathers by pointer instead. Runs the lanes when
+  /// they can hold the block, else the scalar program.
+  bool Evaluate(const std::vector<Tuple> &rows, const Tuple *const *row_ptrs,
+                size_t begin, size_t n);
+  /// False when a varchar column value makes the block unfit for the lanes.
   bool EvalNode(const Node &node, Lanes *out, const std::vector<Tuple> &rows,
                 const Tuple *const *row_ptrs, size_t begin, size_t n);
 
+  const Expression *expr_;
   std::vector<Node> nodes_;
-  std::vector<Lanes> lanes_;  // scratch, parallel to nodes_
+  std::vector<Lanes> lanes_;  // parallel to nodes_
+  std::vector<int64_t> ints_;  // nodes_.size() runs of lane_capacity_ lanes
+  std::vector<double> dbls_;
+  std::vector<uint8_t> is_int_;
+  size_t lane_capacity_ = 0;
   bool supported_ = true;
+  /// Blocks the lanes cannot hold; compiled from `expr_` on first need.
+  std::optional<CompiledExpression> scalar_;
+  std::vector<Value> scalar_vals_;  ///< root values of a scalar block
+  bool scalar_block_ = false;       ///< the current block ran `scalar_`
 };
 
 /// Applies `expr` as a filter over `rows` in blocks of `block_rows`,
-/// compacting rows (and `slots`, when non-null) in place. Returns false —
-/// with nothing modified — when the expression is unsupported; the caller
-/// runs the row-at-a-time path instead. Blocks that hit varchar column
-/// values internally fall back to per-row evaluation, so a `true` return is
-/// always bit-identical to the scalar filter.
-bool VectorizedFilter(const Expression &expr, size_t block_rows,
+/// compacting rows (and `slots`, when non-null) in place. Bit-identical to
+/// the interpreter's row-at-a-time filter.
+void VectorizedFilter(const Expression &expr, size_t block_rows,
                       std::vector<Tuple> *rows, std::vector<SlotId> *slots);
 
 /// Evaluates the projection list over `in` in blocks of `block_rows`,
-/// appending one output tuple per input row. Returns false — with `out`
-/// untouched — when any expression is unsupported.
-bool VectorizedProject(const std::vector<ExprPtr> &exprs, size_t block_rows,
+/// appending one output tuple per input row.
+void VectorizedProject(const std::vector<ExprPtr> &exprs, size_t block_rows,
                        const std::vector<Tuple> &in, std::vector<Tuple> *out);
+
+/// Evaluates `expr` over every row of `rows` in blocks of `block_rows`:
+/// element i is Expression::Evaluate(rows[i]).AsDouble().
+std::vector<double> VectorizedDoubles(const Expression &expr, size_t block_rows,
+                                      const std::vector<Tuple> &rows);
 
 }  // namespace mb2

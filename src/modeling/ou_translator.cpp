@@ -16,12 +16,10 @@ double SchemaTupleBytes(const Schema &schema) {
 
 std::vector<TranslatedOu> OuTranslator::TranslateQuery(
     const PlanNode &plan, double exec_mode_override) const {
-  // Vectorized (knob value 2) shares the compiled exec_mode feature class,
-  // mirroring ExecutionContext::ModeFeature at collection time.
   const double mode =
       exec_mode_override >= 0.0
           ? exec_mode_override
-          : (settings_->GetInt("execution_mode") >= 1 ? 1.0 : 0.0);
+          : static_cast<double>(settings_->GetInt("execution_mode"));
   std::vector<TranslatedOu> out;
   TranslateNode(plan, mode, &out);
   return out;

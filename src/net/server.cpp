@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -51,126 +52,28 @@ Gauge &ConnectionsGauge() {
   return g;
 }
 
-Counter &RequestCounter(Opcode op) {
-  switch (op) {
-    case Opcode::kPing: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"PING\"}");
-      return c;
-    }
-    case Opcode::kSqlQuery: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"SQL_QUERY\"}");
-      return c;
-    }
-    case Opcode::kPredictOus: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"PREDICT_OUS\"}");
-      return c;
-    }
-    case Opcode::kGetMetrics: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"GET_METRICS\"}");
-      return c;
-    }
-    case Opcode::kSleep: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"SLEEP\"}");
-      return c;
-    }
-    case Opcode::kReplSubscribe: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"REPL_SUBSCRIBE\"}");
-      return c;
-    }
-    case Opcode::kReplLogBatch: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"REPL_LOG_BATCH\"}");
-      return c;
-    }
-    case Opcode::kReplAck: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"REPL_ACK\"}");
-      return c;
-    }
-    case Opcode::kHealth: {
-      static Counter &c = MetricsRegistry::Instance().GetCounter(
-          "mb2_net_requests_total{opcode=\"HEALTH\"}");
-      return c;
-    }
-  }
-  static Counter &c = MetricsRegistry::Instance().GetCounter(
-      "mb2_net_requests_total{opcode=\"UNKNOWN\"}");
-  return c;
-}
+/// Request counter and latency histogram of one kOpcodes row.
+struct OpcodeMetrics {
+  Counter *requests = nullptr;
+  Histogram *latency_us = nullptr;
+};
 
-Histogram &LatencyHistogram(Opcode op) {
-  switch (op) {
-    case Opcode::kPing: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"PING\"}");
-      return h;
+/// Resolved for every opcode on first use, so a request only indexes an
+/// array: no label string is built and no registry lookup runs per request.
+const OpcodeMetrics &MetricsFor(Opcode op) {
+  static const auto table = [] {
+    std::array<OpcodeMetrics, kNumOpcodeRows> t;
+    MetricsRegistry &registry = MetricsRegistry::Instance();
+    for (size_t i = 0; i < kNumOpcodeRows; i++) {
+      const std::string label =
+          std::string("{opcode=\"") + kOpcodes[i].name + "\"}";
+      t[i].requests = &registry.GetCounter("mb2_net_requests_total" + label);
+      t[i].latency_us =
+          &registry.GetHistogram("mb2_net_request_latency_us" + label);
     }
-    case Opcode::kSqlQuery: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"SQL_QUERY\"}");
-      return h;
-    }
-    case Opcode::kPredictOus: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"PREDICT_OUS\"}");
-      return h;
-    }
-    case Opcode::kGetMetrics: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"GET_METRICS\"}");
-      return h;
-    }
-    case Opcode::kSleep: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"SLEEP\"}");
-      return h;
-    }
-    case Opcode::kReplSubscribe: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"REPL_SUBSCRIBE\"}");
-      return h;
-    }
-    case Opcode::kReplLogBatch: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"REPL_LOG_BATCH\"}");
-      return h;
-    }
-    case Opcode::kReplAck: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"REPL_ACK\"}");
-      return h;
-    }
-    case Opcode::kHealth: {
-      static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-          "mb2_net_request_latency_us{opcode=\"HEALTH\"}");
-      return h;
-    }
-  }
-  static Histogram &h = MetricsRegistry::Instance().GetHistogram(
-      "mb2_net_request_latency_us{opcode=\"UNKNOWN\"}");
-  return h;
-}
-
-// ObsSpan names must be static strings (trace.h contract).
-const char *SpanName(Opcode op) {
-  switch (op) {
-    case Opcode::kPing: return "net.ping";
-    case Opcode::kSqlQuery: return "net.sql_query";
-    case Opcode::kPredictOus: return "net.predict_ous";
-    case Opcode::kGetMetrics: return "net.get_metrics";
-    case Opcode::kSleep: return "net.sleep";
-    case Opcode::kReplSubscribe: return "net.repl_subscribe";
-    case Opcode::kReplLogBatch: return "net.repl_log_batch";
-    case Opcode::kReplAck: return "net.repl_ack";
-    case Opcode::kHealth: return "net.health";
-  }
-  return "net.unknown";
+    return t;
+  }();
+  return table[OpcodeIndex(op)];
 }
 
 void SetNoDelay(int fd) {
@@ -584,7 +487,7 @@ void Server::HandleFrame(Reactor *reactor,
   MB2_UNUSED(reactor);
   n_requests_.fetch_add(1, std::memory_order_relaxed);
   sessions_.OnRequest(conn->session_id);
-  RequestCounter(frame.Op()).Add();
+  MetricsFor(frame.Op()).requests->Add();
 
   const uint16_t resp_opcode = frame.opcode | kResponseBit;
   if (state_.load() != State::kRunning) {
@@ -642,7 +545,7 @@ void Server::HandleFrame(Reactor *reactor,
 void Server::ExecuteRequest(const std::shared_ptr<Connection> &conn,
                             Frame frame, int64_t deadline_us) {
   const int64_t start_us = NowMicros();
-  ObsSpan span(SpanName(frame.Op()));
+  ObsSpan span(kOpcodes[OpcodeIndex(frame.Op())].span);
 
   std::vector<uint8_t> response;
   if (deadline_us > 0 && start_us > deadline_us) {
@@ -659,8 +562,8 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection> &conn,
 
   SendResponse(conn, EncodeFrame(frame.opcode | kResponseBit, frame.request_id,
                                  std::move(response)));
-  LatencyHistogram(frame.Op())
-      .Observe(static_cast<double>(NowMicros() - start_us));
+  MetricsFor(frame.Op()).latency_us->Observe(
+      static_cast<double>(NowMicros() - start_us));
 }
 
 std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {

@@ -6,22 +6,6 @@
 
 namespace mb2::net {
 
-const char *OpcodeName(Opcode op) {
-  switch (op) {
-    case Opcode::kPing: return "PING";
-    case Opcode::kSqlQuery: return "SQL_QUERY";
-    case Opcode::kPredictOus: return "PREDICT_OUS";
-    case Opcode::kGetMetrics: return "GET_METRICS";
-    case Opcode::kSleep: return "SLEEP";
-    case Opcode::kReplSubscribe: return "REPL_SUBSCRIBE";
-    case Opcode::kReplLogBatch: return "REPL_LOG_BATCH";
-    case Opcode::kReplAck: return "REPL_ACK";
-    case Opcode::kHealth: return "HEALTH";
-    case Opcode::kCtrlStatus: return "CTRL_STATUS";
-  }
-  return "UNKNOWN";
-}
-
 Status WireCodeToStatus(WireCode code, const std::string &message) {
   switch (code) {
     case WireCode::kOk: return Status::Ok();

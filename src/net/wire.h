@@ -24,7 +24,9 @@
 /// can answer kBadRequest before closing); payload decoders are
 /// bounds-checked via ByteReader.
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -70,7 +72,49 @@ enum class Opcode : uint16_t {
 };
 inline constexpr uint16_t kResponseBit = 0x8000;
 
-const char *OpcodeName(Opcode op);
+/// Per-opcode names: `name` is the wire name and the metrics label,
+/// `span` the ObsSpan name (a static string, as trace.h requires).
+struct OpcodeInfo {
+  Opcode op;
+  const char *name;
+  const char *span;
+};
+
+/// Every opcode, indexed by its value. Row 0 stands for any value that is
+/// not an opcode.
+inline constexpr OpcodeInfo kOpcodes[] = {
+    {Opcode{0}, "UNKNOWN", "net.unknown"},
+    {Opcode::kPing, "PING", "net.ping"},
+    {Opcode::kSqlQuery, "SQL_QUERY", "net.sql_query"},
+    {Opcode::kPredictOus, "PREDICT_OUS", "net.predict_ous"},
+    {Opcode::kGetMetrics, "GET_METRICS", "net.get_metrics"},
+    {Opcode::kSleep, "SLEEP", "net.sleep"},
+    {Opcode::kReplSubscribe, "REPL_SUBSCRIBE", "net.repl_subscribe"},
+    {Opcode::kReplLogBatch, "REPL_LOG_BATCH", "net.repl_log_batch"},
+    {Opcode::kReplAck, "REPL_ACK", "net.repl_ack"},
+    {Opcode::kHealth, "HEALTH", "net.health"},
+    {Opcode::kCtrlStatus, "CTRL_STATUS", "net.ctrl_status"},
+};
+inline constexpr size_t kNumOpcodeRows = std::size(kOpcodes);
+
+/// `op`'s row in kOpcodes; 0 for a value that is not an opcode.
+constexpr size_t OpcodeIndex(Opcode op) {
+  const auto v = static_cast<size_t>(op);
+  return v < kNumOpcodeRows ? v : 0;
+}
+
+static_assert(
+    [] {
+      for (size_t i = 0; i < kNumOpcodeRows; i++) {
+        if (static_cast<size_t>(kOpcodes[i].op) != i) return false;
+      }
+      return true;
+    }(),
+    "kOpcodes must be indexed by opcode value");
+
+constexpr const char *OpcodeName(Opcode op) {
+  return kOpcodes[OpcodeIndex(op)].name;
+}
 
 /// Status of a response, mapped to/from mb2::Status at the client boundary.
 enum class WireCode : uint16_t {

@@ -4,8 +4,8 @@
 /// Scalar expression trees (column refs, constants, arithmetic, comparisons,
 /// boolean logic) used by filter predicates, projections, and update set
 /// clauses. Two evaluation strategies exist: the recursive interpreter here
-/// (execution_mode = interpret) and the flattened program in
-/// exec/compiled_executor.h (execution_mode = compiled).
+/// (execution_mode = interpret) and the block-at-a-time typed lanes of
+/// exec/vector_ops.h (execution_mode = compiled).
 
 #include <memory>
 #include <vector>

@@ -77,6 +77,26 @@ TEST(SettingsTest, DefaultsAndUpdates) {
   EXPECT_GT(settings.GetInt("log_flush_interval_us"), 0);
 }
 
+TEST(SettingsTest, ExecutionModeRejectsValuesOutsideItsDomain) {
+  SettingsManager settings;
+  ASSERT_TRUE(settings.SetInt("execution_mode", 1).ok());
+  const size_t history = settings.History().size();
+  const uint64_t total = settings.total_changes();
+  for (double bad : {2.0, -1.0, 0.5}) {
+    EXPECT_EQ(settings.SetDouble("execution_mode", bad).code(),
+              ErrorCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(settings.GetDouble("execution_mode"), 1.0) << bad;
+    EXPECT_EQ(settings.GetExecutionMode(), ExecutionMode::kCompiled) << bad;
+  }
+  EXPECT_EQ(settings.History().size(), history);
+  EXPECT_EQ(settings.total_changes(), total);
+  // Both enumerators stay settable.
+  ASSERT_TRUE(settings.SetDouble("execution_mode", 0.0).ok());
+  EXPECT_EQ(settings.GetExecutionMode(), ExecutionMode::kInterpret);
+  EXPECT_EQ(settings.total_changes(), total + 1);
+}
+
 TEST(SettingsTest, KnobKindsMatchPaperCategories) {
   SettingsManager settings;
   EXPECT_EQ(settings.Kind("execution_mode"), KnobKind::kBehavior);

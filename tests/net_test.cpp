@@ -19,6 +19,7 @@
 #include "modeling/model_bot.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics_registry.h"
 
 namespace mb2::net {
 namespace {
@@ -299,6 +300,41 @@ TEST_F(NetTest, ConcurrentClientsMixedWorkload) {
 }
 
 // --- Admission control ------------------------------------------------------
+
+TEST(NetMetricsTest, CtrlStatusIsCountedAndTimedUnderItsOwnOpcode) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  MetricsRegistry &registry = MetricsRegistry::Instance();
+  Counter &requests = registry.GetCounter(
+      "mb2_net_requests_total{opcode=\"CTRL_STATUS\"}");
+  Counter &unknown =
+      registry.GetCounter("mb2_net_requests_total{opcode=\"UNKNOWN\"}");
+  Histogram &latency = registry.GetHistogram(
+      "mb2_net_request_latency_us{opcode=\"CTRL_STATUS\"}");
+  const uint64_t requests_before = requests.Value();
+  const uint64_t unknown_before = unknown.Value();
+  const uint64_t latency_before = latency.Count();
+
+  Database db;
+  ServerOptions opts;
+  opts.num_reactors = 1;
+  opts.num_workers = 1;
+  opts.default_deadline_ms = 30'000;
+  Server server(&db, nullptr, opts);
+  ASSERT_TRUE(server.Start().ok());
+  ClientOptions copts;
+  copts.port = server.port();
+  Client client(copts);
+  ASSERT_TRUE(client.CtrlStatus().ok());
+  // The latency is observed after the response is sent; Stop() drains every
+  // in-flight request, so it has been recorded once Stop() returns.
+  server.Stop();
+  obs::SetEnabled(was_enabled);
+
+  EXPECT_EQ(requests.Value(), requests_before + 1);
+  EXPECT_EQ(latency.Count(), latency_before + 1);
+  EXPECT_EQ(unknown.Value(), unknown_before);
+}
 
 TEST(NetAdmissionTest, QueueFullShedsWithServerBusy) {
   Database db;

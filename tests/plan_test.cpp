@@ -127,7 +127,7 @@ TEST_P(CompiledEquivalence, MatchesInterpreterOnRandomExpressions) {
       const Value actual = compiled.Evaluate(row);
       ASSERT_NEAR(expected.AsDouble(), actual.AsDouble(), 1e-9)
           << "trial " << trial;
-      // Boolean-context agreement (covers the numeric fast path).
+      // Boolean-context agreement.
       ASSERT_EQ(expr->EvaluateBool(row), compiled.EvaluateBool(row));
     }
   }
