@@ -188,11 +188,11 @@ int main(int argc, char **argv) {
     bot.TrainOuModels(records, {MlAlgorithm::kLinear}, /*normalize=*/false);
   }
 
+  db.settings().SetInt("net_worker_threads", static_cast<int64_t>(threads));
+  db.settings().SetInt("net_queue_depth", 1024);
+  db.settings().SetInt("net_default_deadline_ms", 60'000);
   ServerOptions opts;
   opts.num_reactors = 2;
-  opts.num_workers = static_cast<int>(threads);
-  opts.queue_depth = 1024;
-  opts.default_deadline_ms = 60'000;
   Server server(&db, &bot, opts);
   if (const Status s = server.Start(); !s.ok()) {
     std::fprintf(stderr, "FAIL: server start: %s\n", s.ToString().c_str());

@@ -88,7 +88,7 @@ int main(int argc, char **argv) {
   repl::ReplicationSource source(&primary);
   net::ServerOptions sopts;
   sopts.num_reactors = 1;
-  sopts.num_workers = 2;
+  primary.settings().SetInt("net_worker_threads", 2);
   net::Server server(&primary, nullptr, sopts);
   server.set_repl_service(&source);
   if (!server.Start().ok()) {

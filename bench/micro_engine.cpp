@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "database.h"
-#include "exec/compiled_executor.h"
 #include "index/bplus_tree.h"
 #include "metrics/resource_tracker.h"
 #include "runner/ou_runner.h"
@@ -97,18 +96,6 @@ void BM_ExpressionInterpreted(benchmark::State &state) {
   }
 }
 BENCHMARK(BM_ExpressionInterpreted);
-
-void BM_ExpressionCompiled(benchmark::State &state) {
-  auto expr = And(Cmp(CmpOp::kGt, Arith(ArithOp::kMul, ColRef(1), ConstInt(3)),
-                      ConstInt(500)),
-                  Cmp(CmpOp::kLt, ColRef(2), ConstInt(900)));
-  CompiledExpression compiled(*expr);
-  Tuple row = {Value::Integer(5), Value::Integer(400), Value::Integer(100)};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compiled.EvaluateBool(row));
-  }
-}
-BENCHMARK(BM_ExpressionCompiled);
 
 void BM_BPlusTreeInsert(benchmark::State &state) {
   BPlusTree tree(IndexSchema{"b", "t", {0}, false});

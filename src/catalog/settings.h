@@ -4,7 +4,7 @@
 /// The DBMS's tunable knobs. The paper distinguishes *behavior knobs*
 /// (appended to the affected OUs' features, e.g. execution mode, log flush
 /// interval) from *resource knobs* (evaluated against OU-model resource
-/// predictions, e.g. working-memory limit). Self-driving actions change
+/// predictions, e.g. the buffer-pool size). Self-driving actions change
 /// knobs through this manager.
 
 #include <cstdint>
@@ -76,9 +76,6 @@ class SettingsManager {
   ///   execution_mode          0=interpret 1=compiled            (behavior)
   ///   log_flush_interval_us   WAL flush period                  (behavior)
   ///   gc_interval_us          garbage-collection period         (behavior)
-  ///   index_build_threads     parallel index-build degree       (behavior)
-  ///   working_mem_limit_bytes per-query memory budget           (resource)
-  ///   simulated_cpu_freq_ghz  hardware-context simulation knob  (behavior)
   ///   ou_cache_capacity       OU-prediction cache entries/type  (resource)
   ///   net_worker_threads      server worker pool size (at start)(resource)
   ///   net_queue_depth         server admission bound (hot)      (resource)

@@ -120,11 +120,10 @@ bool VectorizedExpression::Evaluate(const std::vector<Tuple> &rows,
     scalar_block_ = !EvalNode(nodes_[i], &lanes_[i], rows, row_ptrs, begin, n);
   }
   if (!scalar_block_) return true;
-  if (!scalar_) scalar_.emplace(*expr_);
   scalar_vals_.clear();
   for (size_t l = 0; l < n; l++) {
     const Tuple &row = row_ptrs != nullptr ? *row_ptrs[l] : rows[begin + l];
-    scalar_vals_.push_back(scalar_->Evaluate(row));
+    scalar_vals_.push_back(expr_->Evaluate(row));
   }
   return false;
 }

@@ -15,19 +15,17 @@
 ///   - comparisons compute the interpreter's three-way result (NaN compares
 ///     "greater", exactly like Value::Compare),
 ///   - varchar operands do not fit the lanes: a varchar constant sends every
-///     block, and a varchar column value sends its block, through the
-///     flattened scalar program of compiled_executor.h instead (same
-///     results, just slower). Every entry point below therefore answers
-///     every expression.
+///     block, and a varchar column value sends its block, row at a time
+///     through Expression::Evaluate instead (the interpreter's own answers,
+///     just slower). Every entry point below therefore answers every
+///     expression.
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/value.h"
-#include "exec/compiled_executor.h"
 #include "plan/expression.h"
 #include "storage/version.h"
 
@@ -50,7 +48,8 @@ class VectorizedExpression {
 
   /// Evaluates rows [begin, begin+n); the Lane* accessors then answer for
   /// lanes [0, n). Returns true when the typed lanes held the block, false
-  /// when it ran the scalar program; the answers are the same either way.
+  /// when it ran Expression::Evaluate per row; the answers are the same
+  /// either way.
   bool EvaluateBlock(const std::vector<Tuple> &rows, size_t begin, size_t n);
 
   /// Gather form: evaluates `n` rows referenced by pointer (e.g. tuples
@@ -96,7 +95,7 @@ class VectorizedExpression {
   int32_t Flatten(const Expression &expr);
   /// `rows`/`begin` index a contiguous batch; `row_ptrs` (when non-null)
   /// takes precedence and gathers by pointer instead. Runs the lanes when
-  /// they can hold the block, else the scalar program.
+  /// they can hold the block, else Expression::Evaluate per row.
   bool Evaluate(const std::vector<Tuple> &rows, const Tuple *const *row_ptrs,
                 size_t begin, size_t n);
   /// False when a varchar column value makes the block unfit for the lanes.
@@ -111,10 +110,8 @@ class VectorizedExpression {
   std::vector<uint8_t> is_int_;
   size_t lane_capacity_ = 0;
   bool supported_ = true;
-  /// Blocks the lanes cannot hold; compiled from `expr_` on first need.
-  std::optional<CompiledExpression> scalar_;
   std::vector<Value> scalar_vals_;  ///< root values of a scalar block
-  bool scalar_block_ = false;       ///< the current block ran `scalar_`
+  bool scalar_block_ = false;  ///< the lanes could not hold the current block
 };
 
 /// Applies `expr` as a filter over `rows` in blocks of `block_rows`,

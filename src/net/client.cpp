@@ -270,181 +270,78 @@ Status Client::Roundtrip(Opcode op, const std::vector<uint8_t> &payload,
   return final_status;
 }
 
-Status Client::Ping() {
-  Frame response;
-  Status s = Roundtrip(Opcode::kPing, {}, &response);
+Status Client::CallHead(Opcode op, const std::vector<uint8_t> &payload,
+                        Frame *response, size_t *body_offset) {
+  Status s = Roundtrip(op, payload, response);
   if (!s.ok()) return s;
   WireCode code;
   std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed PING response");
+  if (!DecodeResponseHead(response->payload, &code, &message, body_offset)) {
+    return Status::IoError(std::string("malformed ") + OpcodeName(op) +
+                           " response");
   }
   return WireCodeToStatus(code, message);
 }
 
-Status Client::Sleep(uint32_t millis) {
+Status Client::Call(Opcode op, const std::vector<uint8_t> &payload) {
   Frame response;
-  Status s = Roundtrip(Opcode::kSleep, EncodeSleepRequest(millis), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
   size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed SLEEP response");
+  return CallHead(op, payload, &response, &offset);
+}
+
+template <typename Body>
+Result<Body> Client::Call(Opcode op, const std::vector<uint8_t> &payload) {
+  Frame response;
+  size_t offset;
+  Status s = CallHead(op, payload, &response, &offset);
+  if (!s.ok()) return s;
+  Body body;
+  if (!DecodeMessage(response.payload, offset, &body)) {
+    return Status::IoError(std::string("malformed ") + OpcodeName(op) +
+                           " response body");
   }
-  return WireCodeToStatus(code, message);
+  return body;
+}
+
+Status Client::Ping() { return Call(Opcode::kPing, {}); }
+
+Status Client::Sleep(uint32_t millis) {
+  return Call(Opcode::kSleep, EncodeRequest(millis));
 }
 
 Result<RemoteQueryResult> Client::ExecuteSql(const std::string &sql) {
-  Frame response;
-  Status s = Roundtrip(Opcode::kSqlQuery, EncodeSqlRequest(sql), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed SQL response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  SqlResponseBody body;
-  if (!DecodeSqlResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed SQL response body");
-  }
-  RemoteQueryResult out;
-  out.rows = std::move(body.rows);
-  out.elapsed_us = body.elapsed_us;
-  out.aborted = body.aborted;
-  return out;
+  return Call<RemoteQueryResult>(Opcode::kSqlQuery, EncodeRequest(sql));
 }
 
 Result<RemotePrediction> Client::PredictOus(
     const std::vector<TranslatedOu> &ous) {
-  Frame response;
-  Status s =
-      Roundtrip(Opcode::kPredictOus, EncodePredictRequest(ous), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed PREDICT_OUS response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  PredictResponseBody body;
-  if (!DecodePredictResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed PREDICT_OUS response body");
-  }
-  RemotePrediction out;
-  out.per_ou = std::move(body.per_ou);
-  out.degraded_ous = body.degraded_ous;
-  return out;
+  return Call<RemotePrediction>(Opcode::kPredictOus, EncodeRequest(ous));
 }
 
 Result<std::string> Client::GetMetricsJson() {
-  Frame response;
-  Status s = Roundtrip(Opcode::kGetMetrics, {}, &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed GET_METRICS response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  std::string json;
-  if (!DecodeMetricsResponseBody(response.payload, offset, &json)) {
-    return Status::IoError("malformed GET_METRICS response body");
-  }
-  return json;
+  return Call<std::string>(Opcode::kGetMetrics, {});
 }
 
 Result<HealthInfo> Client::Health() {
-  Frame response;
-  Status s = Roundtrip(Opcode::kHealth, {}, &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed HEALTH response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  HealthInfo info;
-  if (!DecodeHealthResponseBody(response.payload, offset, &info)) {
-    return Status::IoError("malformed HEALTH response body");
-  }
-  return info;
+  return Call<HealthInfo>(Opcode::kHealth, {});
 }
 
 Result<CtrlStatusBody> Client::CtrlStatus() {
-  Frame response;
-  Status s = Roundtrip(Opcode::kCtrlStatus, {}, &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed CTRL_STATUS response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  CtrlStatusBody body;
-  if (!DecodeCtrlStatusResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed CTRL_STATUS response body");
-  }
-  return body;
+  return Call<CtrlStatusBody>(Opcode::kCtrlStatus, {});
 }
 
 Result<ReplSubscribeResponseBody> Client::ReplSubscribe(
     const ReplSubscribeRequest &req) {
-  Frame response;
-  Status s = Roundtrip(Opcode::kReplSubscribe, EncodeReplSubscribeRequest(req),
-                       &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed REPL_SUBSCRIBE response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  ReplSubscribeResponseBody body;
-  if (!DecodeReplSubscribeResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed REPL_SUBSCRIBE response body");
-  }
-  return body;
+  return Call<ReplSubscribeResponseBody>(Opcode::kReplSubscribe,
+                                         EncodeRequest(req));
 }
 
 Result<ReplLogBatchBody> Client::ReplFetch(const ReplFetchRequest &req) {
-  Frame response;
-  Status s =
-      Roundtrip(Opcode::kReplLogBatch, EncodeReplFetchRequest(req), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed REPL_LOG_BATCH response");
-  }
-  if (code != WireCode::kOk) return WireCodeToStatus(code, message);
-  ReplLogBatchBody body;
-  if (!DecodeReplLogBatchResponseBody(response.payload, offset, &body)) {
-    return Status::IoError("malformed REPL_LOG_BATCH response body");
-  }
-  return body;
+  return Call<ReplLogBatchBody>(Opcode::kReplLogBatch, EncodeRequest(req));
 }
 
 Status Client::ReplAck(const ReplAckRequest &req) {
-  Frame response;
-  Status s = Roundtrip(Opcode::kReplAck, EncodeReplAckRequest(req), &response);
-  if (!s.ok()) return s;
-  WireCode code;
-  std::string message;
-  size_t offset;
-  if (!DecodeResponseHead(response.payload, &code, &message, &offset)) {
-    return Status::IoError("malformed REPL_ACK response");
-  }
-  return WireCodeToStatus(code, message);
+  return Call(Opcode::kReplAck, EncodeRequest(req));
 }
 
 Client::Stats Client::stats() const {

@@ -60,17 +60,12 @@ struct ClientOptions {
   uint64_t rng_seed = 0x5eed;  ///< backoff jitter seed
 };
 
-/// Remote SQL result (the server-side engine's QueryResult over the wire).
-struct RemoteQueryResult {
-  std::vector<Tuple> rows;
-  double elapsed_us = 0.0;  ///< server-side execution latency
-  bool aborted = false;
-};
-
-struct RemotePrediction {
-  std::vector<Labels> per_ou;  ///< parallel to the request's OUs
-  uint32_t degraded_ous = 0;
-};
+/// Remote SQL result: the SQL_QUERY response body, rows plus the server-side
+/// execution latency.
+using RemoteQueryResult = SqlResponseBody;
+/// Remote prediction: the PREDICT_OUS response body, labels parallel to the
+/// request's OUs.
+using RemotePrediction = PredictResponseBody;
 
 class Client {
  public:
@@ -119,6 +114,16 @@ class Client {
   /// Full request with retry/backoff. On OK, *out holds the response frame
   /// (whose payload may still carry a server-side error code).
   Status Roundtrip(Opcode op, const std::vector<uint8_t> &payload, Frame *out);
+  /// Roundtrip plus the response head: the server's WireCode as a Status
+  /// and, on kOk, the body's offset in response->payload.
+  Status CallHead(Opcode op, const std::vector<uint8_t> &payload,
+                  Frame *response, size_t *body_offset);
+  /// The one RPC path: send `payload` as `op`, answer the server's error or
+  /// the decoded Body. Error texts name the opcode (kOpcodes).
+  template <typename Body>
+  Result<Body> Call(Opcode op, const std::vector<uint8_t> &payload);
+  /// Bodyless form (PING, SLEEP, REPL_ACK): the server's status only.
+  Status Call(Opcode op, const std::vector<uint8_t> &payload);
 
   Result<int> Dial();
   int Checkout();          ///< pooled fd or -1

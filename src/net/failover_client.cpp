@@ -11,6 +11,12 @@ namespace mb2::net {
 
 namespace {
 
+const Status &StatusOf(const Status &status) { return status; }
+template <typename T>
+const Status &StatusOf(const Result<T> &result) {
+  return result.status();
+}
+
 Counter &ClientFailoverCounter() {
   static Counter &c = MetricsRegistry::Instance().GetCounter(
       "mb2_net_client_failovers_total");
@@ -82,33 +88,36 @@ Status FailoverClient::Resolve() {
   }
 }
 
-Result<RemoteQueryResult> FailoverClient::ExecuteSql(const std::string &sql) {
-  auto result = clients_[current()]->ExecuteSql(sql);
-  if (result.ok() || !ShouldFailover(result.status())) return result;
-  const bool transport_error = result.status().code() == ErrorCode::kIoError;
+template <typename Fn>
+auto FailoverClient::Routed(bool retry_after_transport_error, Fn &&fn)
+    -> decltype(fn(std::declval<Client &>())) {
+  auto result = fn(*clients_[current()]);
+  const Status &status = StatusOf(result);
+  if (status.ok() || !ShouldFailover(status)) return result;
+  const bool transport_error = status.code() == ErrorCode::kIoError;
   const Status resolved = Resolve();
   if (!resolved.ok()) return resolved;
-  // A NOT_PRIMARY answer proves the statement never executed, so anything
-  // may be retried. A transport error proves nothing — the old primary may
-  // have executed the DML and died before responding — so re-executing a
+  // A NOT_PRIMARY answer proves the request never executed, so anything may
+  // be retried. A transport error proves nothing — the old primary may have
+  // executed a DML statement and died before responding — so re-executing a
   // write there is at-least-once, which the caller must opt into. Routing
   // has already moved either way.
-  if (transport_error && !IsReadOnlySql(sql) &&
-      !options_.retry_dml_on_transport_error) {
+  if (transport_error && !retry_after_transport_error) {
     return Status::IoError(
         "statement not retried after transport error (it may have executed "
         "on the failed primary): " +
-        result.status().ToString());
+        status.ToString());
   }
-  return clients_[current()]->ExecuteSql(sql);
+  return fn(*clients_[current()]);
+}
+
+Result<RemoteQueryResult> FailoverClient::ExecuteSql(const std::string &sql) {
+  return Routed(IsReadOnlySql(sql) || options_.retry_dml_on_transport_error,
+                [&sql](Client &c) { return c.ExecuteSql(sql); });
 }
 
 Status FailoverClient::Ping() {
-  Status s = clients_[current()]->Ping();
-  if (s.ok() || !ShouldFailover(s)) return s;
-  const Status resolved = Resolve();
-  if (!resolved.ok()) return resolved;
-  return clients_[current()]->Ping();
+  return Routed(true, [](Client &c) { return c.Ping(); });
 }
 
 }  // namespace mb2::net

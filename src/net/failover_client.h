@@ -19,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -75,6 +76,13 @@ class FailoverClient {
   /// Conservative read-only detection (SELECT/SHOW/EXPLAIN): anything else
   /// is treated as potentially state-changing for retry purposes.
   static bool IsReadOnlySql(const std::string &sql);
+  /// The routing path of every request: runs `fn` on the current primary;
+  /// after a transport failure or NOT_PRIMARY it re-resolves and runs `fn`
+  /// once more on the new primary. A transport failure is retried only when
+  /// `retry_after_transport_error` says the request cannot double-apply.
+  template <typename Fn>
+  auto Routed(bool retry_after_transport_error, Fn &&fn)
+      -> decltype(fn(std::declval<Client &>()));
   /// Probes all endpoints, moves current_ to the best primary. NotFound
   /// when the budget elapses with no primary anywhere.
   Status Resolve();

@@ -171,12 +171,9 @@ Status Server::Start() {
     reactors_.push_back(std::move(reactor));
   }
 
-  int n_workers = options_.num_workers;
-  if (n_workers <= 0) {
-    n_workers = static_cast<int>(db_->settings().GetInt("net_worker_threads"));
-  }
-  if (n_workers <= 0) n_workers = 1;
-  workers_ = std::make_unique<ThreadPool>(static_cast<size_t>(n_workers));
+  const int64_t n_workers = db_->settings().GetInt("net_worker_threads");
+  workers_ = std::make_unique<ThreadPool>(
+      static_cast<size_t>(n_workers > 0 ? n_workers : 1));
 
   state_.store(State::kRunning);
   for (auto &reactor : reactors_) {
@@ -239,15 +236,12 @@ ServerStats Server::stats() const {
 }
 
 int64_t Server::CurrentQueueDepth() const {
-  if (options_.queue_depth > 0) return options_.queue_depth;
   const int64_t knob = db_->settings().GetInt("net_queue_depth");
   return knob > 0 ? knob : 1;
 }
 
 int64_t Server::CurrentDeadlineUs() const {
-  const int64_t ms = options_.default_deadline_ms > 0
-                         ? options_.default_deadline_ms
-                         : db_->settings().GetInt("net_default_deadline_ms");
+  const int64_t ms = db_->settings().GetInt("net_default_deadline_ms");
   return ms > 0 ? ms * 1000 : 0;  // 0 = no deadline
 }
 
@@ -437,7 +431,8 @@ void Server::HandleReadable(Reactor *reactor,
     bool parsing = true;
     while (parsing) {
       Frame frame;
-      switch (conn->decoder.Next(&frame)) {
+      const FrameDecoder::Outcome outcome = conn->decoder.Next(&frame);
+      switch (outcome) {
         case FrameDecoder::Outcome::kNeedMore:
           parsing = false;
           break;
@@ -445,27 +440,19 @@ void Server::HandleReadable(Reactor *reactor,
           HandleFrame(reactor, conn, std::move(frame));
           if (conn->closed.load()) return;
           break;
-        case FrameDecoder::Outcome::kBadCrc: {
-          // Framing is intact (the corrupt frame was consumed), but the
-          // payload cannot be trusted: answer, then drop the connection.
-          n_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          ProtocolErrorCounter().Add();
-          SendResponse(conn, EncodeFrame(frame.opcode | kResponseBit,
-                                         frame.request_id,
-                                         EncodeStatusResponse(
-                                             WireCode::kBadRequest,
-                                             "payload checksum mismatch")));
-          conn->close_after_flush.store(true);
-          return;
-        }
+        case FrameDecoder::Outcome::kBadCrc:
         case FrameDecoder::Outcome::kOversized: {
+          // The header is trustworthy but the payload is not (corrupt, or
+          // too large to buffer): answer, then drop the connection.
           n_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
           ProtocolErrorCounter().Add();
+          const char *what = outcome == FrameDecoder::Outcome::kBadCrc
+                                 ? "payload checksum mismatch"
+                                 : "payload length exceeds limit";
           SendResponse(conn, EncodeFrame(frame.opcode | kResponseBit,
                                          frame.request_id,
                                          EncodeStatusResponse(
-                                             WireCode::kBadRequest,
-                                             "payload length exceeds limit")));
+                                             WireCode::kBadRequest, what)));
           conn->close_after_flush.store(true);
           return;
         }
@@ -566,73 +553,78 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection> &conn,
       static_cast<double>(NowMicros() - start_us));
 }
 
+namespace {
+
+/// The one handler shape: decode the frame's Request (BAD_REQUEST "bad <OP>
+/// payload" when it does not decode), run `handler(request, &body)`, and
+/// answer the body, or the failing Status through StatusToWireCode.
+template <typename Request, typename Body, typename Handler>
+std::vector<uint8_t> Serve(const Frame &frame, Handler &&handler) {
+  Request request{};
+  if (!DecodeMessage(frame.payload, 0, &request)) {
+    return EncodeStatusResponse(
+        WireCode::kBadRequest,
+        std::string("bad ") + OpcodeName(frame.Op()) + " payload");
+  }
+  Body body{};
+  const Status s = handler(request, &body);
+  if (!s.ok()) return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
+  return EncodeResponse(body);
+}
+
+}  // namespace
+
 std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
   switch (frame.Op()) {
     case Opcode::kPing:
-      return EncodeStatusResponse(WireCode::kOk, "");
+      return EncodeResponse(NoBody{});
 
-    case Opcode::kSleep: {
-      uint32_t millis = 0;
-      if (!DecodeSleepRequest(frame.payload, &millis)) {
-        return EncodeStatusResponse(WireCode::kBadRequest, "bad SLEEP payload");
-      }
-      // Bounded so a hostile sleep cannot wedge graceful drain.
-      millis = std::min(millis, 10'000u);
-      std::this_thread::sleep_for(std::chrono::milliseconds(millis));
-      return EncodeStatusResponse(WireCode::kOk, "");
-    }
+    case Opcode::kSleep:
+      return Serve<uint32_t, NoBody>(frame, [](uint32_t millis, NoBody *) {
+        // Bounded so a hostile sleep cannot wedge graceful drain.
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(std::min(millis, 10'000u)));
+        return Status::Ok();
+      });
 
-    case Opcode::kSqlQuery: {
-      std::string sql;
-      if (!DecodeSqlRequest(frame.payload, &sql)) {
-        return EncodeStatusResponse(WireCode::kBadRequest, "bad SQL payload");
-      }
-      Result<QueryResult> result = db_->Execute(sql);
-      if (!result.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(result.status()),
-                                    result.status().ToString());
-      }
-      QueryResult &qr = result.value();
-      if (!qr.status.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(qr.status),
-                                    qr.status.ToString());
-      }
-      SqlResponseBody body;
-      body.rows = std::move(qr.batch.rows);
-      body.elapsed_us = qr.elapsed_us;
-      body.aborted = qr.aborted;
-      return EncodeSqlResponse(body);
-    }
+    case Opcode::kSqlQuery:
+      return Serve<std::string, SqlResponseBody>(
+          frame, [this](const std::string &sql, SqlResponseBody *body) {
+            Result<QueryResult> result = db_->Execute(sql);
+            if (!result.ok()) return result.status();
+            QueryResult &qr = result.value();
+            if (!qr.status.ok()) return qr.status;
+            body->rows = std::move(qr.batch.rows);
+            body->elapsed_us = qr.elapsed_us;
+            body->aborted = qr.aborted;
+            return Status::Ok();
+          });
 
-    case Opcode::kPredictOus: {
+    case Opcode::kPredictOus:
       if (bot_ == nullptr) {
         return EncodeStatusResponse(WireCode::kBadRequest,
                                     "no model bot attached");
       }
-      std::vector<TranslatedOu> ous;
-      if (!DecodePredictRequest(frame.payload, &ous)) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "bad PREDICT_OUS payload");
-      }
-      // The serving layer batches per OU type into one matrix, so every
-      // vector of a type must have that OU's descriptor width — reject
-      // hostile widths here rather than aborting in the math kernels.
-      for (const TranslatedOu &ou : ous) {
-        const size_t want = GetOuDescriptor(ou.type).feature_names.size();
-        if (ou.features.size() != want) {
-          return EncodeStatusResponse(
-              WireCode::kBadRequest,
-              std::string("feature width mismatch for OU ") +
-                  OuTypeName(ou.type));
-        }
-      }
-      PredictResponseBody body;
-      body.per_ou = bot_->PredictOus(ous, &body.degraded_ous);
-      return EncodePredictResponse(body);
-    }
+      return Serve<std::vector<TranslatedOu>, PredictResponseBody>(
+          frame, [this](const std::vector<TranslatedOu> &ous,
+                        PredictResponseBody *body) {
+            // The serving layer batches per OU type into one matrix, so every
+            // vector of a type must have that OU's descriptor width — reject
+            // hostile widths here rather than aborting in the math kernels.
+            for (const TranslatedOu &ou : ous) {
+              if (ou.features.size() !=
+                  GetOuDescriptor(ou.type).feature_names.size()) {
+                return Status::InvalidArgument(
+                    std::string("feature width mismatch for OU ") +
+                    OuTypeName(ou.type));
+              }
+            }
+            body->per_ou = bot_->PredictOus(ous, &body->degraded_ous);
+            return Status::Ok();
+          });
 
     case Opcode::kGetMetrics:
-      return EncodeMetricsResponse(DumpMetricsJson());
+      return EncodeResponse(DumpMetricsJson());
 
     case Opcode::kCtrlStatus: {
       // Always answerable: the knob audit trail exists with or without a
@@ -645,7 +637,7 @@ std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
       }
       body.knob_changes = db_->settings().History();
       body.knob_changes_total = db_->settings().total_changes();
-      return EncodeCtrlStatusResponse(body);
+      return EncodeResponse(body);
     }
 
     case Opcode::kHealth: {
@@ -658,61 +650,33 @@ std::vector<uint8_t> Server::DispatchOpcode(const Frame &frame) {
       } else {
         info.role = 1;
       }
-      return EncodeHealthResponse(info);
+      return EncodeResponse(info);
     }
 
-    case Opcode::kReplSubscribe: {
+    case Opcode::kReplSubscribe:
+    case Opcode::kReplLogBatch:
+    case Opcode::kReplAck:
       if (repl_ == nullptr) {
         return EncodeStatusResponse(WireCode::kBadRequest,
                                     "replication not enabled");
       }
-      ReplSubscribeRequest req;
-      if (!DecodeReplSubscribeRequest(frame.payload, &req)) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "bad REPL_SUBSCRIBE payload");
+      if (frame.Op() == Opcode::kReplSubscribe) {
+        return Serve<ReplSubscribeRequest, ReplSubscribeResponseBody>(
+            frame, [this](const ReplSubscribeRequest &req,
+                          ReplSubscribeResponseBody *body) {
+              return repl_->Subscribe(req, body);
+            });
       }
-      ReplSubscribeResponseBody body;
-      const Status s = repl_->Subscribe(req, &body);
-      if (!s.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
+      if (frame.Op() == Opcode::kReplLogBatch) {
+        return Serve<ReplFetchRequest, ReplLogBatchBody>(
+            frame, [this](const ReplFetchRequest &req, ReplLogBatchBody *body) {
+              return repl_->Fetch(req, body);
+            });
       }
-      return EncodeReplSubscribeResponse(body);
-    }
-
-    case Opcode::kReplLogBatch: {
-      if (repl_ == nullptr) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "replication not enabled");
-      }
-      ReplFetchRequest req;
-      if (!DecodeReplFetchRequest(frame.payload, &req)) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "bad REPL_LOG_BATCH payload");
-      }
-      ReplLogBatchBody body;
-      const Status s = repl_->Fetch(req, &body);
-      if (!s.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
-      }
-      return EncodeReplLogBatchResponse(body);
-    }
-
-    case Opcode::kReplAck: {
-      if (repl_ == nullptr) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "replication not enabled");
-      }
-      ReplAckRequest req;
-      if (!DecodeReplAckRequest(frame.payload, &req)) {
-        return EncodeStatusResponse(WireCode::kBadRequest,
-                                    "bad REPL_ACK payload");
-      }
-      const Status s = repl_->Ack(req);
-      if (!s.ok()) {
-        return EncodeStatusResponse(StatusToWireCode(s), s.ToString());
-      }
-      return EncodeStatusResponse(WireCode::kOk, "");
-    }
+      return Serve<ReplAckRequest, NoBody>(
+          frame, [this](const ReplAckRequest &req, NoBody *) {
+            return repl_->Ack(req);
+          });
   }
   return EncodeStatusResponse(WireCode::kBadRequest, "unknown opcode");
 }

@@ -52,20 +52,17 @@ class ModelBot;
 
 namespace mb2::net {
 
+/// Transport settings only. The server's limits come from the Database's
+/// knobs (db->settings()) and nowhere else: `net_worker_threads` sizes the
+/// worker pool once at Start() (the pool cannot resize live — restart to
+/// apply), while `net_queue_depth` and `net_default_deadline_ms` are re-read
+/// on every admission decision.
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the chosen one back via port().
   uint16_t port = 0;
+  /// Event-loop threads (no knob covers them).
   int num_reactors = 2;
-  /// Worker pool size; 0 reads the `net_worker_threads` knob once at
-  /// Start() (the pool cannot resize live — restart to apply).
-  int num_workers = 0;
-  /// Max dispatched-but-unfinished requests before load-shedding; 0 reads
-  /// the `net_queue_depth` knob on every admission decision (hot-tunable).
-  int queue_depth = 0;
-  /// Per-request deadline; 0 reads `net_default_deadline_ms` per request
-  /// (hot-tunable). Requests that out-wait it in the queue are rejected.
-  int64_t default_deadline_ms = 0;
   uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
   /// Wall-clock budget for flushing remaining responses during Stop().
   int64_t drain_timeout_ms = 5000;

@@ -180,74 +180,42 @@ class FrameDecoder {
   size_t consumed_ = 0;  ///< bytes of buffer_ already parsed away
 };
 
-// --- Request payload codecs -------------------------------------------------
-// Encoders build the payload only (EncodeFrame wraps it); decoders return
-// false on malformed input.
+// --- Messages ---------------------------------------------------------------
+// One type per request and per response body. Requests: SQL_QUERY sends the
+// statement (std::string), PREDICT_OUS a std::vector<TranslatedOu>, SLEEP
+// its milliseconds (uint32_t), and the replication opcodes the Repl*Request
+// structs below; PING, GET_METRICS, HEALTH and CTRL_STATUS send nothing (the
+// server ignores any payload). Response bodies follow the kOk head: the
+// structs below, GET_METRICS's JSON (std::string), and NoBody for the bare
+// answers of PING, SLEEP and REPL_ACK.
 
-std::vector<uint8_t> EncodeSqlRequest(const std::string &sql);
-bool DecodeSqlRequest(const std::vector<uint8_t> &payload, std::string *sql);
+/// The body of a bare response: zero bytes.
+struct NoBody {};
 
-std::vector<uint8_t> EncodePredictRequest(const std::vector<TranslatedOu> &ous);
-bool DecodePredictRequest(const std::vector<uint8_t> &payload,
-                          std::vector<TranslatedOu> *ous);
-
-std::vector<uint8_t> EncodeSleepRequest(uint32_t millis);
-bool DecodeSleepRequest(const std::vector<uint8_t> &payload, uint32_t *millis);
-
-// --- Response payload codecs ------------------------------------------------
-
-/// Error response (or bare-OK for PING/SLEEP): WireCode + message, no body.
-std::vector<uint8_t> EncodeStatusResponse(WireCode code,
-                                          const std::string &message);
-
-/// Rows of a remote SQL result (the engine's Batch flattened to tuples).
+/// SQL_QUERY response: the engine's result rows (its Batch flattened to
+/// tuples) and its server-side execution latency.
 struct SqlResponseBody {
   std::vector<Tuple> rows;
   double elapsed_us = 0.0;
   bool aborted = false;
 };
-std::vector<uint8_t> EncodeSqlResponse(const SqlResponseBody &body);
 
+/// PREDICT_OUS response: labels parallel to the request's OUs.
 struct PredictResponseBody {
   std::vector<Labels> per_ou;
   uint32_t degraded_ous = 0;
 };
-std::vector<uint8_t> EncodePredictResponse(const PredictResponseBody &body);
-
-std::vector<uint8_t> EncodeMetricsResponse(const std::string &json);
-
-/// Splits any response payload into its leading (code, message) and the
-/// remaining body bytes. Returns false on malformed payloads.
-bool DecodeResponseHead(const std::vector<uint8_t> &payload, WireCode *code,
-                        std::string *message, size_t *body_offset);
-
-bool DecodeSqlResponseBody(const std::vector<uint8_t> &payload, size_t offset,
-                           SqlResponseBody *out);
-bool DecodePredictResponseBody(const std::vector<uint8_t> &payload,
-                               size_t offset, PredictResponseBody *out);
-bool DecodeMetricsResponseBody(const std::vector<uint8_t> &payload,
-                               size_t offset, std::string *json);
-
-// --- Replication payload codecs ---------------------------------------------
 
 /// REPL_SUBSCRIBE: a follower announces itself and where it will resume.
 struct ReplSubscribeRequest {
   std::string replica_id;
   uint64_t start_offset = 0;  ///< follower's local durable log-copy size
 };
-std::vector<uint8_t> EncodeReplSubscribeRequest(const ReplSubscribeRequest &req);
-bool DecodeReplSubscribeRequest(const std::vector<uint8_t> &payload,
-                                ReplSubscribeRequest *req);
 
 struct ReplSubscribeResponseBody {
   uint64_t durable_tip = 0;  ///< primary's flushed WAL size in bytes
   uint64_t epoch = 0;        ///< bumped on every promotion
 };
-std::vector<uint8_t> EncodeReplSubscribeResponse(
-    const ReplSubscribeResponseBody &body);
-bool DecodeReplSubscribeResponseBody(const std::vector<uint8_t> &payload,
-                                     size_t offset,
-                                     ReplSubscribeResponseBody *out);
 
 /// REPL_LOG_BATCH request: fetch up to `max_bytes` of WAL from `offset`.
 /// `epoch` is the newest primary epoch the follower has seen (0 = none yet);
@@ -259,9 +227,6 @@ struct ReplFetchRequest {
   uint32_t max_bytes = 0;
   uint64_t epoch = 0;
 };
-std::vector<uint8_t> EncodeReplFetchRequest(const ReplFetchRequest &req);
-bool DecodeReplFetchRequest(const std::vector<uint8_t> &payload,
-                            ReplFetchRequest *req);
 
 /// REPL_LOG_BATCH response: raw WAL bytes [offset, offset + data.size()).
 /// `batch_crc` covers `data` end to end (shipped bytes are appended to the
@@ -274,9 +239,6 @@ struct ReplLogBatchBody {
   uint64_t durable_tip = 0;
   uint64_t epoch = 0;
 };
-std::vector<uint8_t> EncodeReplLogBatchResponse(const ReplLogBatchBody &body);
-bool DecodeReplLogBatchResponseBody(const std::vector<uint8_t> &payload,
-                                    size_t offset, ReplLogBatchBody *out);
 
 /// REPL_ACK: the follower's applied tip; response is a bare status.
 struct ReplAckRequest {
@@ -284,11 +246,6 @@ struct ReplAckRequest {
   uint64_t applied_offset = 0;
   uint64_t applied_records = 0;
 };
-std::vector<uint8_t> EncodeReplAckRequest(const ReplAckRequest &req);
-bool DecodeReplAckRequest(const std::vector<uint8_t> &payload,
-                          ReplAckRequest *req);
-
-// --- Controller payload codecs ----------------------------------------------
 
 /// CTRL_STATUS response: whether a controller is attached and running, its
 /// counters + decision log (ctrl::ControllerStatus verbatim), and the
@@ -302,19 +259,84 @@ struct CtrlStatusBody {
   std::vector<KnobChange> knob_changes;
   uint64_t knob_changes_total = 0;
 };
-std::vector<uint8_t> EncodeCtrlStatusResponse(const CtrlStatusBody &body);
-bool DecodeCtrlStatusResponseBody(const std::vector<uint8_t> &payload,
-                                  size_t offset, CtrlStatusBody *out);
 
-/// HEALTH response: role + replication position. The request has no payload.
+/// HEALTH response: role + replication position.
 struct HealthInfo {
   uint8_t role = 0;  ///< 0 = follower (read-only), 1 = primary
   uint64_t epoch = 0;
   uint64_t durable_tip = 0;      ///< primary: flushed WAL bytes
   uint64_t applied_offset = 0;   ///< follower: bytes applied locally
 };
-std::vector<uint8_t> EncodeHealthResponse(const HealthInfo &info);
-bool DecodeHealthResponseBody(const std::vector<uint8_t> &payload,
-                              size_t offset, HealthInfo *out);
+
+// --- Codecs -----------------------------------------------------------------
+// One Serialize/Deserialize pair per message type writes and reads its
+// bytes; the templates below frame them as a request payload or a response.
+// Deserialize rejects an impossible count or tag as soon as it reads one;
+// DecodeMessage adds the bounds and no-trailing-bytes checks.
+
+void Serialize(ByteWriter *w, const std::string &text);
+bool Deserialize(ByteReader *r, std::string *text);
+void Serialize(ByteWriter *w, uint32_t millis);
+bool Deserialize(ByteReader *r, uint32_t *millis);
+void Serialize(ByteWriter *w, const std::vector<TranslatedOu> &ous);
+bool Deserialize(ByteReader *r, std::vector<TranslatedOu> *ous);
+void Serialize(ByteWriter *w, const SqlResponseBody &body);
+bool Deserialize(ByteReader *r, SqlResponseBody *body);
+void Serialize(ByteWriter *w, const PredictResponseBody &body);
+bool Deserialize(ByteReader *r, PredictResponseBody *body);
+void Serialize(ByteWriter *w, const ReplSubscribeRequest &req);
+bool Deserialize(ByteReader *r, ReplSubscribeRequest *req);
+void Serialize(ByteWriter *w, const ReplSubscribeResponseBody &body);
+bool Deserialize(ByteReader *r, ReplSubscribeResponseBody *body);
+void Serialize(ByteWriter *w, const ReplFetchRequest &req);
+bool Deserialize(ByteReader *r, ReplFetchRequest *req);
+void Serialize(ByteWriter *w, const ReplLogBatchBody &body);
+bool Deserialize(ByteReader *r, ReplLogBatchBody *body);
+void Serialize(ByteWriter *w, const ReplAckRequest &req);
+bool Deserialize(ByteReader *r, ReplAckRequest *req);
+void Serialize(ByteWriter *w, const CtrlStatusBody &body);
+bool Deserialize(ByteReader *r, CtrlStatusBody *body);
+void Serialize(ByteWriter *w, const HealthInfo &info);
+bool Deserialize(ByteReader *r, HealthInfo *info);
+inline void Serialize(ByteWriter *, const NoBody &) {}
+inline bool Deserialize(ByteReader *, NoBody *) { return true; }
+
+/// Every response payload begins with this head: WireCode + message.
+void PutResponseHead(ByteWriter *w, WireCode code, const std::string &message);
+
+/// Error response (or the bare kOk one): the head alone.
+std::vector<uint8_t> EncodeStatusResponse(WireCode code,
+                                          const std::string &message);
+
+/// Splits any response payload into its leading (code, message) and the
+/// remaining body bytes. Returns false on malformed payloads.
+bool DecodeResponseHead(const std::vector<uint8_t> &payload, WireCode *code,
+                        std::string *message, size_t *body_offset);
+
+/// A request payload (EncodeFrame wraps it).
+template <typename T>
+std::vector<uint8_t> EncodeRequest(const T &request) {
+  ByteWriter w;
+  Serialize(&w, request);
+  return w.Take();
+}
+
+/// A kOk response: the head with an empty message, then the body.
+template <typename T>
+std::vector<uint8_t> EncodeResponse(const T &body) {
+  ByteWriter w;
+  PutResponseHead(&w, WireCode::kOk, "");
+  Serialize(&w, body);
+  return w.Take();
+}
+
+/// Decodes `payload[offset..]` as exactly one T: a request from offset 0, a
+/// response body from the offset DecodeResponseHead reports. False on
+/// malformed input, trailing bytes included.
+template <typename T>
+bool DecodeMessage(const std::vector<uint8_t> &payload, size_t offset, T *out) {
+  ByteReader r(payload.data() + offset, payload.size() - offset);
+  return Deserialize(&r, out) && r.ok() && r.RemainingBytes() == 0;
+}
 
 }  // namespace mb2::net

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 
 #include "common/rng.h"
@@ -16,6 +15,7 @@
 #include "ml/decision_tree.h"
 #include "ml/model_selection.h"
 #include "modeling/model_bot.h"
+#include "test_util.h"
 
 namespace mb2 {
 namespace {
@@ -104,7 +104,8 @@ TEST(TreePersistenceTest, FlatFormatRoundTrip) {
   MakeData(200, &x, &y, 41);
   DecisionTree tree;
   tree.Fit(x, y);
-  const std::string path = "/tmp/mb2_flat_tree.bin";
+  TestTempDir tmp;
+  const std::string path = tmp.Path("flat_tree.bin");
   {
     auto writer = BinaryWriter::Open(path);
     ASSERT_TRUE(writer.ok());
@@ -127,14 +128,14 @@ TEST(TreePersistenceTest, FlatFormatRoundTrip) {
       EXPECT_EQ(BitsOf(a.At(r, j)), BitsOf(b.At(r, j)));
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(TreePersistenceTest, LegacyPointerFormatStillLoads) {
   // Hand-write the pre-flattening format: [u64 count, no flag bit], then per
   // node [i32 feature][f64 threshold][i32 left][i32 right][leaf doubles].
   // Tree: root splits feature 0 at 0.5; left leaf {1,2}, right leaf {3,4}.
-  const std::string path = "/tmp/mb2_legacy_tree.bin";
+  TestTempDir tmp;
+  const std::string path = tmp.Path("legacy_tree.bin");
   {
     auto writer = BinaryWriter::Open(path);
     ASSERT_TRUE(writer.ok());
@@ -169,7 +170,7 @@ TEST(TreePersistenceTest, LegacyPointerFormatStillLoads) {
   EXPECT_EQ(tree.Predict({0.9})[1], 4.0);
 
   // The migrated tree re-saves in the flat format and round-trips.
-  const std::string path2 = "/tmp/mb2_legacy_tree_resaved.bin";
+  const std::string path2 = tmp.Path("legacy_tree_resaved.bin");
   {
     auto writer = BinaryWriter::Open(path2);
     ASSERT_TRUE(writer.ok());
@@ -181,8 +182,6 @@ TEST(TreePersistenceTest, LegacyPointerFormatStillLoads) {
   resaved.LoadFrom(&reader2.value());
   ASSERT_TRUE(reader2.value().ok());
   EXPECT_EQ(resaved.Predict({0.9})[1], 4.0);
-  std::remove(path.c_str());
-  std::remove(path2.c_str());
 }
 
 // --- Serving-layer OU-prediction cache -------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "database.h"
+#include "test_util.h"
 
 namespace mb2 {
 namespace {
@@ -101,7 +102,7 @@ TEST(SettingsTest, KnobKindsMatchPaperCategories) {
   SettingsManager settings;
   EXPECT_EQ(settings.Kind("execution_mode"), KnobKind::kBehavior);
   EXPECT_EQ(settings.Kind("log_flush_interval_us"), KnobKind::kBehavior);
-  EXPECT_EQ(settings.Kind("working_mem_limit_bytes"), KnobKind::kResource);
+  EXPECT_EQ(settings.Kind("buffer_pool_pages"), KnobKind::kResource);
 }
 
 TEST(SettingsTest, SnapshotContainsEveryKnob) {
@@ -124,8 +125,9 @@ TEST(DatabaseTest, WalDisabledByDefault) {
 }
 
 TEST(DatabaseTest, WalEnabledPersistsCommits) {
+  TestTempDir tmp;
   Database::Options options;
-  options.wal_path = "/tmp/mb2_db_test.log";
+  options.wal_path = tmp.Path("db.log");
   Database db(options);
   ASSERT_TRUE(db.log_manager().enabled());
   Table *t = db.catalog().CreateTable("t", Schema({{"x", TypeId::kInteger, 0}}));
@@ -137,8 +139,9 @@ TEST(DatabaseTest, WalEnabledPersistsCommits) {
 }
 
 TEST(DatabaseTest, BackgroundServicesStartAndStopCleanly) {
+  TestTempDir tmp;
   Database::Options options;
-  options.wal_path = "/tmp/mb2_db_bg_test.log";
+  options.wal_path = tmp.Path("db_bg.log");
   options.start_flusher = true;
   options.start_gc = true;
   {

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "common/fault_injector.h"
@@ -20,13 +19,11 @@
 #include "obs/metrics_registry.h"
 #include "repl/health.h"
 #include "repl/replication.h"
+#include "test_util.h"
 
 namespace mb2 {
 namespace {
 
-constexpr const char *kPrimaryWal = "/tmp/mb2_chaos_primary.wal";
-constexpr const char *kCopy = "/tmp/mb2_chaos_copy.wal";
-constexpr const char *kPromotedWal = "/tmp/mb2_chaos_promoted.wal";
 constexpr const char *kTable =
     "CREATE TABLE t (id INTEGER, payload VARCHAR(8), bal DOUBLE)";
 
@@ -59,11 +56,13 @@ std::string InsertSql(int64_t id) {
 
 class ChaosTest : public ::testing::Test {
  protected:
+  TestTempDir tmp_;
+  const std::string kPrimaryWal = tmp_.Path("primary.wal");
+  const std::string kCopy = tmp_.Path("copy.wal");
+  const std::string kPromotedWal = tmp_.Path("promoted.wal");
+
   void SetUp() override {
     FaultInjector::Instance().Reset();
-    std::remove(kPrimaryWal);
-    std::remove(kCopy);
-    std::remove(kPromotedWal);
 
     Database::Options popts;
     popts.wal_path = kPrimaryWal;
@@ -74,7 +73,7 @@ class ChaosTest : public ::testing::Test {
     source_ = std::make_unique<repl::ReplicationSource>(primary_.get());
     net::ServerOptions sopts;
     sopts.num_reactors = 1;
-    sopts.num_workers = 2;
+    ASSERT_TRUE(primary_->settings().SetInt("net_worker_threads", 2).ok());
     server_ = std::make_unique<net::Server>(primary_.get(), nullptr, sopts);
     server_->set_repl_service(source_.get());
     ASSERT_TRUE(server_->Start().ok());

@@ -486,14 +486,14 @@ TEST(CtrlStatusWireTest, CodecRoundTrip) {
   body.knob_changes.push_back(kc);
   body.knob_changes_total = 9;
 
-  const std::vector<uint8_t> payload = net::EncodeCtrlStatusResponse(body);
+  const std::vector<uint8_t> payload = net::EncodeResponse(body);
   net::WireCode code;
   std::string message;
   size_t offset = 0;
   ASSERT_TRUE(net::DecodeResponseHead(payload, &code, &message, &offset));
   EXPECT_EQ(code, net::WireCode::kOk);
   net::CtrlStatusBody out;
-  ASSERT_TRUE(net::DecodeCtrlStatusResponseBody(payload, offset, &out));
+  ASSERT_TRUE(net::DecodeMessage(payload, offset, &out));
 
   EXPECT_TRUE(out.attached);
   EXPECT_TRUE(out.running);
@@ -522,16 +522,16 @@ TEST(CtrlStatusWireTest, CodecRoundTrip) {
   // A truncated payload must fail cleanly, never read past the end.
   std::vector<uint8_t> truncated(payload.begin(), payload.end() - 5);
   net::CtrlStatusBody ignored;
-  EXPECT_FALSE(net::DecodeCtrlStatusResponseBody(truncated, offset, &ignored));
+  EXPECT_FALSE(net::DecodeMessage(truncated, offset, &ignored));
 }
 
 TEST(CtrlStatusWireTest, ServerAnswersWithAndWithoutController) {
   Database db;
   net::ServerOptions opts;
   opts.num_reactors = 1;
-  opts.num_workers = 2;
-  opts.queue_depth = 64;
-  opts.default_deadline_ms = 30'000;
+  ASSERT_TRUE(db.settings().SetInt("net_worker_threads", 2).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_queue_depth", 64).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_default_deadline_ms", 30'000).ok());
 
   {
     // No controller attached: CTRL_STATUS still answers, carrying only the

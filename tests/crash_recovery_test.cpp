@@ -17,6 +17,7 @@
 #include "common/fault_injector.h"
 #include "database.h"
 #include "wal/log_recovery.h"
+#include "test_util.h"
 
 namespace mb2 {
 namespace {
@@ -38,11 +39,9 @@ class CrashRecoveryTest : public ::testing::Test {
 
   /// Per-test log path: ctest runs these tests as parallel processes, which
   /// must not clobber each other's "devices".
-  std::string LogPath() const {
-    return std::string("/tmp/mb2_crash_") +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-           ".log";
-  }
+  std::string LogPath() const { return tmp_.Path("crash.log"); }
+
+  TestTempDir tmp_;
 
   Schema TestSchema() {
     return Schema({{"id", TypeId::kInteger, 0},

@@ -66,11 +66,12 @@ class NetTest : public ::testing::Test {
     }
     bot_->TrainOuModels(records, {MlAlgorithm::kLinear}, /*normalize=*/false);
 
+    SettingsManager &knobs = db_->settings();
+    ASSERT_TRUE(knobs.SetInt("net_worker_threads", 4).ok());
+    ASSERT_TRUE(knobs.SetInt("net_queue_depth", 256).ok());
+    ASSERT_TRUE(knobs.SetInt("net_default_deadline_ms", 60'000).ok());
     ServerOptions opts;
     opts.num_reactors = 2;
-    opts.num_workers = 4;
-    opts.queue_depth = 256;
-    opts.default_deadline_ms = 60'000;
     server_ = std::make_unique<Server>(db_.get(), bot_.get(), opts);
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -149,9 +150,8 @@ TEST_F(NetTest, PooledConnectionsSurviveServerRestart) {
   // Restart the server on the same port; every pooled socket dies with it.
   const uint16_t port = server_->port();
   server_->Stop();
-  ServerOptions sopts;
+  ServerOptions sopts;  // the knobs SetUp set still hold
   sopts.num_reactors = 2;
-  sopts.num_workers = 4;
   sopts.port = port;
   server_ = std::make_unique<Server>(db_.get(), bot_.get(), sopts);
   ASSERT_TRUE(server_->Start().ok());
@@ -316,10 +316,10 @@ TEST(NetMetricsTest, CtrlStatusIsCountedAndTimedUnderItsOwnOpcode) {
   const uint64_t latency_before = latency.Count();
 
   Database db;
+  ASSERT_TRUE(db.settings().SetInt("net_worker_threads", 1).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_default_deadline_ms", 30'000).ok());
   ServerOptions opts;
   opts.num_reactors = 1;
-  opts.num_workers = 1;
-  opts.default_deadline_ms = 30'000;
   Server server(&db, nullptr, opts);
   ASSERT_TRUE(server.Start().ok());
   ClientOptions copts;
@@ -338,11 +338,10 @@ TEST(NetMetricsTest, CtrlStatusIsCountedAndTimedUnderItsOwnOpcode) {
 
 TEST(NetAdmissionTest, QueueFullShedsWithServerBusy) {
   Database db;
-  ServerOptions opts;
-  opts.num_workers = 1;
-  opts.queue_depth = 1;
-  opts.default_deadline_ms = 60'000;
-  Server server(&db, nullptr, opts);
+  ASSERT_TRUE(db.settings().SetInt("net_worker_threads", 1).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_queue_depth", 1).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_default_deadline_ms", 60'000).ok());
+  Server server(&db, nullptr, ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   ClientOptions copts;
@@ -377,11 +376,10 @@ TEST(NetAdmissionTest, QueueFullShedsWithServerBusy) {
 
 TEST(NetAdmissionTest, QueuedRequestPastDeadlineIsRejected) {
   Database db;
-  ServerOptions opts;
-  opts.num_workers = 1;
-  opts.queue_depth = 64;
-  opts.default_deadline_ms = 100;
-  Server server(&db, nullptr, opts);
+  ASSERT_TRUE(db.settings().SetInt("net_worker_threads", 1).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_queue_depth", 64).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_default_deadline_ms", 100).ok());
+  Server server(&db, nullptr, ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   ClientOptions copts;
@@ -412,11 +410,10 @@ TEST(NetAdmissionTest, QueuedRequestPastDeadlineIsRejected) {
 
 TEST(NetDrainTest, InFlightCompleteNewConnectionsRefused) {
   Database db;
-  ServerOptions opts;
-  opts.num_workers = 2;
-  opts.queue_depth = 64;
-  opts.default_deadline_ms = 60'000;
-  auto server = std::make_unique<Server>(&db, nullptr, opts);
+  ASSERT_TRUE(db.settings().SetInt("net_worker_threads", 2).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_queue_depth", 64).ok());
+  ASSERT_TRUE(db.settings().SetInt("net_default_deadline_ms", 60'000).ok());
+  auto server = std::make_unique<Server>(&db, nullptr, ServerOptions{});
   ASSERT_TRUE(server->Start().ok());
   const uint16_t port = server->port();
 
@@ -561,11 +558,8 @@ TEST(NetKnobTest, HotChangingKnobsMidTrafficIsRaceFree) {
   Database db;
   ServerOptions opts;
   opts.num_reactors = 2;
-  // 0 = read the knobs live: worker count once at Start, queue depth and
-  // deadline on every admission decision.
-  opts.num_workers = 0;
-  opts.queue_depth = 0;
-  opts.default_deadline_ms = 0;
+  // The server reads its limits from the knobs: worker count once at Start,
+  // queue depth and deadline on every admission decision.
   Server server(&db, nullptr, opts);
   ASSERT_TRUE(server.Start().ok());
 

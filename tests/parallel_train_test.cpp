@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -17,6 +16,7 @@
 #include "ml/model_selection.h"
 #include "modeling/model_bot.h"
 #include "runner/ou_runner.h"
+#include "test_util.h"
 
 namespace mb2 {
 namespace {
@@ -127,8 +127,9 @@ TEST(ParallelTrainingTest, TrainOuModelsMatchesSerialModelFiles) {
   }
 
   // Byte-identical persisted model sets.
-  const std::string dir_a = "/tmp/mb2_par_train_a";
-  const std::string dir_b = "/tmp/mb2_par_train_b";
+  TestTempDir tmp;
+  const std::string dir_a = tmp.Path("a");
+  const std::string dir_b = tmp.Path("b");
   std::filesystem::create_directories(dir_a);
   std::filesystem::create_directories(dir_b);
   ASSERT_TRUE(serial_bot.SaveModels(dir_a).ok());
@@ -137,8 +138,6 @@ TEST(ParallelTrainingTest, TrainOuModelsMatchesSerialModelFiles) {
   const std::string bytes_b = FileBytes(dir_b + "/mb2_models.bin");
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, bytes_b);
-  std::remove((dir_a + "/mb2_models.bin").c_str());
-  std::remove((dir_b + "/mb2_models.bin").c_str());
 }
 
 TEST(ParallelSweepTest, CoversSameOusAsSerialBattery) {

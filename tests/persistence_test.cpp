@@ -13,6 +13,7 @@
 #include "modeling/model_bot.h"
 #include "ml/model_selection.h"
 #include "runner/ou_runner.h"
+#include "test_util.h"
 
 namespace mb2 {
 namespace {
@@ -35,10 +36,10 @@ TEST_P(RegressorRoundTrip, PredictionsSurviveSaveLoad) {
   auto model = CreateRegressor(GetParam());
   model->Fit(x, y);
 
-  // Path is per-algorithm: ctest runs the instantiations as parallel
+  // Path is per-test: ctest runs the instantiations as parallel
   // processes, which must not clobber each other's files.
-  const std::string path = std::string("/tmp/mb2_model_roundtrip_") +
-                           MlAlgorithmName(GetParam()) + ".bin";
+  TestTempDir tmp;
+  const std::string path = tmp.Path("model.bin");
   {
     auto writer = BinaryWriter::Open(path);
     ASSERT_TRUE(writer.ok());
@@ -79,7 +80,8 @@ TEST(PersistenceTest, OuModelRoundTripWithNormalization) {
   OuModel model(OuType::kSeqScan);
   model.Train(x, y, {MlAlgorithm::kRandomForest});
 
-  const std::string path = "/tmp/mb2_oumodel.bin";
+  TestTempDir tmp;
+  const std::string path = tmp.Path("oumodel.bin");
   {
     auto writer = BinaryWriter::Open(path);
     model.Save(&writer.value());
@@ -113,7 +115,8 @@ TEST(PersistenceTest, ModelBotSaveLoadPreservesQueryPredictions) {
 
   ModelBot trained(&db.catalog(), &db.estimator(), &db.settings());
   trained.TrainOuModels(records, {MlAlgorithm::kLinear, MlAlgorithm::kRandomForest});
-  const std::string dir = "/tmp/mb2_bot_roundtrip";
+  TestTempDir tmp;
+  const std::string dir = tmp.Path("bot");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(trained.SaveModels(dir).ok());
 
@@ -139,17 +142,18 @@ TEST(PersistenceTest, ModelBotSaveLoadPreservesQueryPredictions) {
 }
 
 TEST(PersistenceTest, CorruptAndMissingFilesRejected) {
+  TestTempDir tmp;
   Database db;
   ModelBot bot(&db.catalog(), &db.estimator(), &db.settings());
-  EXPECT_FALSE(bot.LoadModels("/tmp/definitely_missing_dir_mb2").ok());
+  EXPECT_FALSE(bot.LoadModels(tmp.Path("definitely_missing_dir")).ok());
 
   // Wrong magic.
   {
-    auto writer = BinaryWriter::Open("/tmp/mb2_models.bin.bad/mb2_models.bin");
+    auto writer = BinaryWriter::Open(tmp.Path("absent_dir/mb2_models.bin"));
     EXPECT_FALSE(writer.ok());  // directory absent
   }
   {
-    const std::string dir = "/tmp/mb2_bad_magic";
+    const std::string dir = tmp.Path("bad_magic");
     std::filesystem::create_directories(dir);
     FILE *f = std::fopen((dir + "/mb2_models.bin").c_str(), "wb");
     const uint32_t junk = 0xdeadbeef;
@@ -181,14 +185,15 @@ std::vector<OuRecord> SyntheticRecords(OuType type, size_t n, uint64_t seed) {
 /// fallback predictions, never silently-garbled models.
 class ModelFileCorruption : public ::testing::TestWithParam<MlAlgorithm> {
  protected:
-  /// Per-algorithm directory: the corruption tests run in parallel under
+  /// Per-test directory: the corruption tests run in parallel under
   /// ctest and must not clobber each other's files.
   std::string Dir() const {
-    const std::string dir =
-        std::string("/tmp/mb2_corrupt_") + MlAlgorithmName(GetParam());
+    const std::string dir = tmp_.Path("models");
     std::filesystem::create_directories(dir);
     return dir;
   }
+
+  TestTempDir tmp_;
 };
 
 TEST_P(ModelFileCorruption, FlippedAndTruncatedFilesRejected) {
@@ -272,7 +277,8 @@ TEST(PersistenceTest, MissingOuModelServesDegradedFallback) {
   EXPECT_GE(pred.degraded_ous, 1u);
 
   // The fallback table (and the degraded behavior) survives save/load.
-  const std::string dir = "/tmp/mb2_degraded_fallback";
+  TestTempDir tmp;
+  const std::string dir = tmp.Path("fallback");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(bot.SaveModels(dir).ok());
   ModelBot deployed(&db.catalog(), &db.estimator(), &db.settings());
@@ -292,7 +298,8 @@ TEST(PersistenceTest, SaveIsCrashAtomic) {
   ModelBot bot(&db.catalog(), &db.estimator(), &db.settings());
   bot.TrainOuModels(SyntheticRecords(OuType::kSeqScan, 150, 7),
                     {MlAlgorithm::kLinear});
-  const std::string dir = "/tmp/mb2_atomic_save";
+  TestTempDir tmp;
+  const std::string dir = tmp.Path("atomic");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(bot.SaveModels(dir).ok());
 
@@ -323,13 +330,15 @@ TEST(PersistenceTest, InterferenceModelRoundTrip) {
   }
   InterferenceModel model;
   model.Train(x, y, {MlAlgorithm::kLinear, MlAlgorithm::kNeuralNetwork});
+  TestTempDir tmp;
+  const std::string path = tmp.Path("interference.bin");
   {
-    auto writer = BinaryWriter::Open("/tmp/mb2_if.bin");
+    auto writer = BinaryWriter::Open(path);
     model.Save(&writer.value());
   }
   InterferenceModel loaded;
   {
-    auto reader = BinaryReader::Open("/tmp/mb2_if.bin");
+    auto reader = BinaryReader::Open(path);
     loaded.LoadFrom(&reader.value());
   }
   ASSERT_TRUE(loaded.trained());

@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "database.h"
-#include "exec/compiled_executor.h"
+#include "exec/vector_ops.h"
 #include "plan/cardinality_estimator.h"
 #include "plan/expression.h"
 #include "plan/plan_node.h"
@@ -116,19 +116,23 @@ TEST_P(CompiledEquivalence, MatchesInterpreterOnRandomExpressions) {
   constexpr uint32_t kCols = 4;
   for (int trial = 0; trial < 50; trial++) {
     ExprPtr expr = RandomExpr(&rng, kCols, 3);
-    CompiledExpression compiled(*expr);
-    for (int i = 0; i < 20; i++) {
-      Tuple row;
+    std::vector<Tuple> rows(20);
+    for (Tuple &row : rows) {
       for (uint32_t c = 0; c < kCols; c++) {
         row.push_back(c % 2 == 0 ? Value::Integer(rng.Uniform(-10, 10))
                                  : Value::Double(rng.Uniform(-3.0, 3.0)));
       }
-      const Value expected = expr->Evaluate(row);
-      const Value actual = compiled.Evaluate(row);
+    }
+    // The compiled mode's expression engine: typed lanes over one block.
+    VectorizedExpression compiled(*expr);
+    compiled.EvaluateBlock(rows, 0, rows.size());
+    for (size_t i = 0; i < rows.size(); i++) {
+      const Value expected = expr->Evaluate(rows[i]);
+      const Value actual = compiled.LaneValue(i);
       ASSERT_NEAR(expected.AsDouble(), actual.AsDouble(), 1e-9)
           << "trial " << trial;
       // Boolean-context agreement.
-      ASSERT_EQ(expr->EvaluateBool(row), compiled.EvaluateBool(row));
+      ASSERT_EQ(expr->EvaluateBool(rows[i]), compiled.LaneBool(i));
     }
   }
 }

@@ -5,13 +5,15 @@
 
 #include "database.h"
 #include "wal/log_recovery.h"
+#include "test_util.h"
 
 namespace mb2 {
 namespace {
 
 class RecoveryTest : public ::testing::Test {
  protected:
-  static constexpr const char *kLog = "/tmp/mb2_recovery_test.log";
+  TestTempDir tmp_;
+  const std::string kLog = tmp_.Path("recovery.log");
 
   Schema TestSchema() {
     return Schema({{"id", TypeId::kInteger, 0},
@@ -129,7 +131,7 @@ TEST_F(RecoveryTest, UnknownTableRecordsAreSkipped) {
 
 TEST_F(RecoveryTest, CorruptLogRejected) {
   {
-    FILE *f = std::fopen(kLog, "wb");
+    FILE *f = std::fopen(kLog.c_str(), "wb");
     const char junk[] = "\x01this is not a log";
     std::fwrite(junk, 1, sizeof(junk), f);
     std::fclose(f);
@@ -142,7 +144,8 @@ TEST_F(RecoveryTest, CorruptLogRejected) {
 
 TEST_F(RecoveryTest, MissingLogIsIoError) {
   Database db;
-  auto stats = ReplayLog("/tmp/mb2_no_such.log", &db.catalog(), &db.txn_manager());
+  auto stats = ReplayLog(tmp_.Path("no_such.log"), &db.catalog(),
+                         &db.txn_manager());
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), ErrorCode::kIoError);
 }

@@ -16,6 +16,7 @@
 #include "repl/replication.h"
 #include "wal/log_applier.h"
 #include "wal/log_recovery.h"
+#include "test_util.h"
 
 namespace mb2 {
 namespace {
@@ -50,7 +51,7 @@ bool SameRows(const std::vector<Tuple> &a, const std::vector<Tuple> &b) {
 
 /// Writes a 60-record history (inserts, updates, deletes) through a
 /// WAL-enabled database and returns the log bytes.
-std::vector<uint8_t> MakeLog(const char *path) {
+std::vector<uint8_t> MakeLog(const std::string &path) {
   {
     Database::Options options;
     options.wal_path = path;
@@ -77,7 +78,7 @@ std::vector<uint8_t> MakeLog(const char *path) {
     db.txn_manager().Commit(txn2.get());
     db.log_manager().FlushNow();
   }
-  FILE *f = std::fopen(path, "rb");
+  FILE *f = std::fopen(path.c_str(), "rb");
   EXPECT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
   std::vector<uint8_t> bytes(static_cast<size_t>(std::ftell(f)));
@@ -89,7 +90,8 @@ std::vector<uint8_t> MakeLog(const char *path) {
 
 class LogApplierTest : public ::testing::Test {
  protected:
-  static constexpr const char *kLog = "/tmp/mb2_repl_applier_test.log";
+  TestTempDir tmp_;
+  const std::string kLog = tmp_.Path("applier.log");
 };
 
 TEST_F(LogApplierTest, SameLogTwiceIsIdempotent) {
@@ -198,12 +200,11 @@ TEST_F(LogApplierTest, TornTailStaysBufferedUntilCompleted) {
 /// replication from its live WAL.
 class ReplicationPairTest : public ::testing::Test {
  protected:
-  static constexpr const char *kPrimaryWal = "/tmp/mb2_repl_primary.wal";
-  static constexpr const char *kCopy = "/tmp/mb2_repl_copy.wal";
+  TestTempDir tmp_;
+  const std::string kPrimaryWal = tmp_.Path("primary.wal");
+  const std::string kCopy = tmp_.Path("copy.wal");
 
   void SetUp() override {
-    std::remove(kPrimaryWal);
-    std::remove(kCopy);
 
     Database::Options popts;
     popts.wal_path = kPrimaryWal;
@@ -214,7 +215,7 @@ class ReplicationPairTest : public ::testing::Test {
     source_ = std::make_unique<repl::ReplicationSource>(primary_.get());
     net::ServerOptions sopts;
     sopts.num_reactors = 1;
-    sopts.num_workers = 2;
+    ASSERT_TRUE(primary_->settings().SetInt("net_worker_threads", 2).ok());
     server_ = std::make_unique<net::Server>(primary_.get(), nullptr, sopts);
     server_->set_repl_service(source_.get());
     ASSERT_TRUE(server_->Start().ok());
@@ -325,7 +326,7 @@ TEST_F(ReplicationPairTest, PromotionReplaysToTipAndAdmitsWrites) {
   server_->Stop();
   const auto primary_rows = Dump(primary_.get(), "t");
 
-  ASSERT_TRUE(node_->Promote(kPrimaryWal, "/tmp/mb2_repl_promoted.wal").ok());
+  ASSERT_TRUE(node_->Promote(kPrimaryWal, tmp_.Path("promoted.wal")).ok());
   EXPECT_TRUE(node_->promoted());
   EXPECT_GE(node_->epoch(), 2u);
   EXPECT_TRUE(SameRows(primary_rows, Dump(follower_.get(), "t")));
@@ -349,7 +350,7 @@ TEST_F(ReplicationPairTest, FailoverClientFollowsThePrimary) {
   // Follower serves its own endpoint.
   net::ServerOptions fopts;
   fopts.num_reactors = 1;
-  fopts.num_workers = 2;
+  ASSERT_TRUE(follower_->settings().SetInt("net_worker_threads", 2).ok());
   net::Server follower_server(follower_.get(), nullptr, fopts);
   follower_server.set_repl_service(node_.get());
   ASSERT_TRUE(follower_server.Start().ok());
@@ -374,7 +375,7 @@ TEST_F(ReplicationPairTest, FailoverClientFollowsThePrimary) {
   // Primary dies; follower is promoted out-of-band; the client's next
   // write lands on the new primary without caller-side plumbing.
   server_->Stop();
-  ASSERT_TRUE(node_->Promote(kPrimaryWal, "/tmp/mb2_repl_promoted2.wal").ok());
+  ASSERT_TRUE(node_->Promote(kPrimaryWal, tmp_.Path("promoted2.wal")).ok());
   auto routed = client.ExecuteSql("INSERT INTO t VALUES (2, 'y', 2.0)");
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(client.current(), 1u);
@@ -390,7 +391,7 @@ TEST_F(ReplicationPairTest, DmlIsNotRetriedAfterTransportErrorByDefault) {
 
   net::ServerOptions fopts;
   fopts.num_reactors = 1;
-  fopts.num_workers = 2;
+  ASSERT_TRUE(follower_->settings().SetInt("net_worker_threads", 2).ok());
   net::Server follower_server(follower_.get(), nullptr, fopts);
   follower_server.set_repl_service(node_.get());
   ASSERT_TRUE(follower_server.Start().ok());
@@ -407,7 +408,7 @@ TEST_F(ReplicationPairTest, DmlIsNotRetriedAfterTransportErrorByDefault) {
   ASSERT_TRUE(client.Ping().ok());
 
   server_->Stop();
-  ASSERT_TRUE(node_->Promote(kPrimaryWal, "/tmp/mb2_repl_promoted4.wal").ok());
+  ASSERT_TRUE(node_->Promote(kPrimaryWal, tmp_.Path("promoted4.wal")).ok());
 
   // A write that dies in transport might have executed before the primary
   // fell over; without the opt-in it must surface the error, not silently
@@ -437,7 +438,7 @@ TEST_F(ReplicationPairTest, PromotedPrimaryServesTheContinuousStream) {
   }
   CatchUp(node_.get());
   server_->Stop();
-  ASSERT_TRUE(node_->Promote(kPrimaryWal, "/tmp/mb2_repl_promoted5.wal").ok());
+  ASSERT_TRUE(node_->Promote(kPrimaryWal, tmp_.Path("promoted5.wal")).ok());
   const uint64_t base = node_->applied_offset();
   ASSERT_GT(base, 0u);
 
@@ -466,7 +467,7 @@ TEST_F(ReplicationPairTest, PromotedPrimaryServesTheContinuousStream) {
   req.max_bytes = 64;
   ASSERT_TRUE(node_->Fetch(req, &batch).ok());
   ASSERT_FALSE(batch.data.empty());
-  FILE *old_wal = std::fopen(kPrimaryWal, "rb");
+  FILE *old_wal = std::fopen(kPrimaryWal.c_str(), "rb");
   ASSERT_NE(old_wal, nullptr);
   std::vector<uint8_t> expect(batch.data.size());
   ASSERT_EQ(std::fread(expect.data(), 1, expect.size(), old_wal),
@@ -489,18 +490,17 @@ TEST_F(ReplicationPairTest, PromotedPrimaryServesTheContinuousStream) {
   // history (pre- and post-promotion rows) with no seed copy.
   net::ServerOptions fopts;
   fopts.num_reactors = 1;
-  fopts.num_workers = 2;
+  ASSERT_TRUE(follower_->settings().SetInt("net_worker_threads", 2).ok());
   net::Server promoted_server(follower_.get(), nullptr, fopts);
   promoted_server.set_repl_service(node_.get());
   ASSERT_TRUE(promoted_server.Start().ok());
 
-  std::remove("/tmp/mb2_repl_copy2.wal");
   Database second;
   second.Execute("CREATE TABLE t (id INTEGER, payload VARCHAR(8), bal DOUBLE)");
   repl::ReplicaNodeOptions ropts;
   ropts.replica_id = "r2";
   ropts.primary_port = promoted_server.port();
-  ropts.wal_copy_path = "/tmp/mb2_repl_copy2.wal";
+  ropts.wal_copy_path = tmp_.Path("copy2.wal");
   repl::ReplicaNode second_node(&second, ropts);
   ASSERT_TRUE(second_node.Bootstrap().ok());
   for (int i = 0; i < 1000; i++) {
