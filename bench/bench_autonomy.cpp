@@ -131,6 +131,7 @@ RunResult RunConfig(const std::string &name, const Workload &workload,
 
   Database db;
   LoadEvents(&db, rows);
+  db.estimator().RefreshStats();  // ANALYZE: the load ran no statistics
   db.settings().SetInt("execution_mode", execution_mode);
   if (!static_index_col.empty()) {
     Table *events = db.catalog().GetTable("events");

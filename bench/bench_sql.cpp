@@ -35,7 +35,7 @@ struct GridResult {
   size_t failures = 0;
   double seconds = 0.0;
   double throughput_sps = 0.0;  ///< statements per second
-  uint64_t checksum = 0;
+  uint64_t checksum = 1469598103934665603ull;  ///< FNV-1a over the results
   uint64_t cache_hits = 0;
 };
 
@@ -103,7 +103,9 @@ GridResult RunGrid(Database *db, const std::vector<std::string> &stmts,
       res.failures++;
       continue;
     }
-    res.checksum ^= BatchChecksum(result.value().batch);
+    // Folded in statement order, so a repeated statement cannot cancel.
+    res.checksum = (res.checksum ^ BatchChecksum(result.value().batch)) *
+                   1099511628211ull;
     res.statements++;
   }
   res.seconds = wall.Seconds();
@@ -224,6 +226,10 @@ int main(int argc, char **argv) {
   const double speedup =
       baseline.throughput_sps > 0 ? best_sps / baseline.throughput_sps : 0.0;
   PrintKv("checksums agree across grid", checksums_agree ? "yes" : "NO");
+  char checksum_hex[24];
+  std::snprintf(checksum_hex, sizeof(checksum_hex), "%016llx",
+                static_cast<unsigned long long>(baseline.checksum));
+  PrintKv("grid result checksum (FNV-1a)", checksum_hex);
   PrintKv("speedup (cache+compiled vs baseline)", Fmt(speedup) + "x");
 
   // --- Optimizer-mode join comparison --------------------------------------
@@ -279,15 +285,21 @@ int main(int argc, char **argv) {
     std::fprintf(f,
                  "    {\"cache\": %s, \"compiled\": %s, \"model_opt\": %s, "
                  "\"statements\": %zu, \"failures\": %zu, "
-                 "\"throughput_sps\": %s, \"cache_hits\": %llu}%s\n",
+                 "\"throughput_sps\": %s, \"cache_hits\": %llu, "
+                 "\"checksum\": \"%016llx\"}%s\n",
                  r.cache ? "true" : "false", r.compiled ? "true" : "false",
                  r.model_opt ? "true" : "false", r.statements, r.failures,
                  Fmt(r.throughput_sps).c_str(),
                  static_cast<unsigned long long>(r.cache_hits),
+                 static_cast<unsigned long long>(r.checksum),
                  i + 1 == grid.size() ? "" : ",");
   }
+  // The grid's result checksum (every cell's, when they agree), so two
+  // commits' results can be compared bit for bit.
+  std::fprintf(f, "  ],\n  \"checksum\": \"%016llx\",\n",
+               static_cast<unsigned long long>(baseline.checksum));
   std::fprintf(f,
-               "  ],\n  \"checksums_agree\": %s,\n"
+               "  \"checksums_agree\": %s,\n"
                "  \"speedup_cache_compiled\": %s,\n"
                "  \"join\": {\"heuristic_sps\": %s, \"model_sps\": %s, "
                "\"model_reordered\": %s, \"rows_agree\": %s}\n}\n",

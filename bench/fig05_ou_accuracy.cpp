@@ -4,9 +4,9 @@
 // of OU-models under 20% error; transaction OUs and agg-probe higher
 // because their elapsed times are < 10µs.
 //
-// Accepts --jobs N: the OU-runner sweep and the per-(OU, algorithm) fits run
-// on a worker pool. Model errors are bit-identical across --jobs values for
-// the same collected records (deterministic per-task seeding).
+// Accepts --jobs N: the per-(OU, algorithm) fits run on a worker pool. Model
+// errors are bit-identical across --jobs values for the same collected
+// records (deterministic per-task seeding).
 
 #include <map>
 
@@ -22,18 +22,10 @@ int main(int argc, char **argv) {
   std::printf("(scale=%s, jobs=%zu)\n", BenchScale().c_str(), jobs);
 
   WallTimer sweep_timer;
-  std::vector<OuRecord> records;
-  double sweep_wall_s = 0.0;
-  if (jobs > 1) {
-    SweepResult sweep = RunParallelSweep(RunnerConfig(), jobs);
-    records = std::move(sweep.records);
-    sweep_wall_s = sweep.wall_seconds;
-  } else {
-    Database db;
-    OuRunner runner(&db, RunnerConfig());
-    records = runner.RunAll();
-    sweep_wall_s = sweep_timer.Seconds();
-  }
+  Database db;
+  OuRunner runner(&db, RunnerConfig());
+  const std::vector<OuRecord> records = runner.RunAll();
+  const double sweep_wall_s = sweep_timer.Seconds();
   auto datasets = GroupRecordsByOu(records);
   std::printf("collected %zu records across %zu OUs\n", records.size(),
               datasets.size());

@@ -3,8 +3,8 @@
 // Paper result: most labels under 20% error (cache misses worst);
 // normalization costs little accuracy while enabling generalization.
 //
-// Accepts --jobs N: the OU-runner sweep and the per-(algorithm, ±norm)
-// evaluations run on a worker pool; results are identical across --jobs.
+// Accepts --jobs N: the per-(algorithm, ±norm) evaluations run on a worker
+// pool; results are identical across --jobs.
 
 #include <map>
 
@@ -58,18 +58,10 @@ int main(int argc, char **argv) {
   std::printf("(scale=%s, jobs=%zu)\n", BenchScale().c_str(), jobs);
 
   WallTimer sweep_timer;
-  std::vector<OuRecord> records;
-  double sweep_wall_s = 0.0;
-  if (jobs > 1) {
-    SweepResult sweep = RunParallelSweep(RunnerConfig(), jobs);
-    records = std::move(sweep.records);
-    sweep_wall_s = sweep.wall_seconds;
-  } else {
-    Database db;
-    OuRunner runner(&db, RunnerConfig());
-    records = runner.RunAll();
-    sweep_wall_s = sweep_timer.Seconds();
-  }
+  Database db;
+  OuRunner runner(&db, RunnerConfig());
+  const std::vector<OuRecord> records = runner.RunAll();
+  const double sweep_wall_s = sweep_timer.Seconds();
   auto datasets = GroupRecordsByOu(records);
 
   const auto algos = Fig5Algorithms();

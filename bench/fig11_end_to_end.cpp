@@ -88,22 +88,19 @@ int main(int argc, char **argv) {
 
   Database db;
   // Train MB2 once: OU-models from runners, interference from concurrent
-  // TPC-H execution. With --jobs > 1, sweep units and per-OU fits run on a
-  // worker pool (identical models for the same records).
+  // TPC-H execution. With --jobs > 1, the per-OU fits run on a worker pool
+  // (identical models for the same records).
   ModelBot bot(&db.catalog(), &db.estimator(), &db.settings());
   {
     WallTimer offline_timer;
-    double sweep_wall_s = 0.0;
+    OuRunner runner(&db, RunnerConfig());
+    const std::vector<OuRecord> records = runner.RunAll();
+    const double sweep_wall_s = offline_timer.Seconds();
     if (jobs > 1) {
-      SweepResult sweep = RunParallelSweep(RunnerConfig(), jobs);
-      sweep_wall_s = sweep.wall_seconds;
       ThreadPool pool(jobs);
-      bot.TrainOuModels(sweep.records, AllAlgorithms(), /*normalize=*/true,
+      bot.TrainOuModels(records, AllAlgorithms(), /*normalize=*/true,
                         /*seed=*/42, &pool);
     } else {
-      OuRunner runner(&db, RunnerConfig());
-      std::vector<OuRecord> records = runner.RunAll();
-      sweep_wall_s = offline_timer.Seconds();
       bot.TrainOuModels(records, AllAlgorithms());
     }
     PrintJobsReport(jobs, sweep_wall_s, offline_timer.Seconds() - sweep_wall_s);

@@ -7,10 +7,13 @@
 ///
 /// Environment knobs:
 ///   MB2_BENCH_SCALE=small|medium|full   sweep sizes (default medium)
-///   MB2_JOBS=N                          worker threads (same as --jobs N)
+///   MB2_JOBS=N                          training workers (same as --jobs N)
 ///
 /// Command-line flags (benches that accept argc/argv):
-///   --jobs N | --jobs=N | -j N          parallel sweep + training workers
+///   --jobs N | --jobs=N | -j N          model-training worker pool size
+///
+/// The OU-runner sweep (OuRunner::RunAll) picks its own concurrency from the
+/// CPUs the process may run on; --jobs does not change it.
 
 #include <chrono>
 #include <cstdio>
@@ -33,7 +36,7 @@ inline std::string BenchScale() {
   return env == nullptr ? "medium" : env;
 }
 
-/// Worker count for parallel sweeps/training: --jobs N, --jobs=N, or -j N on
+/// Worker count for model training: --jobs N, --jobs=N, or -j N on
 /// the command line; falls back to MB2_JOBS, then to 1 (serial).
 inline size_t ParseJobs(int argc, char **argv) {
   long jobs = 0;
@@ -120,54 +123,9 @@ inline std::string Fmt(double v) {
   return buf;
 }
 
-/// Runs the full OU-runner battery and trains OU-models.
-struct TrainedStack {
-  std::unique_ptr<Database> db;
-  std::unique_ptr<ModelBot> bot;
-  std::vector<OuRecord> ou_records;
-  double runner_seconds = 0.0;   ///< CPU cost summed across sweep units
-  double sweep_wall_seconds = 0.0;
-  double train_wall_seconds = 0.0;
-  TrainingReport ou_report;
-};
-
-/// With jobs > 1, the sweep units and the per-OU fits run on a worker pool;
-/// training results are bit-identical to jobs == 1 for the same records.
-inline TrainedStack BuildTrainedStack(
-    const std::vector<MlAlgorithm> &algorithms = AllAlgorithms(),
-    bool normalize = true, size_t jobs = 1) {
-  TrainedStack stack;
-  stack.db = std::make_unique<Database>();
-  if (jobs > 1) {
-    SweepResult sweep = RunParallelSweep(RunnerConfig(), jobs);
-    stack.ou_records = std::move(sweep.records);
-    stack.runner_seconds = sweep.runner_seconds;
-    stack.sweep_wall_seconds = sweep.wall_seconds;
-  } else {
-    WallTimer sweep_timer;
-    OuRunner runner(stack.db.get(), RunnerConfig());
-    stack.ou_records = runner.RunAll();
-    stack.runner_seconds = runner.runner_seconds();
-    stack.sweep_wall_seconds = sweep_timer.Seconds();
-  }
-  stack.bot = std::make_unique<ModelBot>(&stack.db->catalog(),
-                                         &stack.db->estimator(),
-                                         &stack.db->settings());
-  WallTimer train_timer;
-  if (jobs > 1) {
-    ThreadPool pool(jobs);
-    stack.ou_report = stack.bot->TrainOuModels(stack.ou_records, algorithms,
-                                               normalize, /*seed=*/42, &pool);
-  } else {
-    stack.ou_report =
-        stack.bot->TrainOuModels(stack.ou_records, algorithms, normalize);
-  }
-  stack.train_wall_seconds = train_timer.Seconds();
-  return stack;
-}
-
 /// Standard wall-clock report for `--jobs` benches: rerun with different
-/// `--jobs` values and compare these lines for the speedup.
+/// `--jobs` values and compare the training line for the speedup (the sweep
+/// line does not depend on `--jobs`).
 inline void PrintJobsReport(size_t jobs, double sweep_wall_s,
                             double train_wall_s) {
   std::printf("\n--- wall clock (jobs=%zu) ---\n", jobs);

@@ -1,10 +1,13 @@
 #include "runner/ou_runner.h"
 
+#include <malloc.h>
+
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "index/index_builder.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -33,7 +36,79 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// Key of a synthetic table in OuRunner::table_cache_.
+std::pair<uint64_t, int> SyntheticTableKey(uint64_t rows,
+                                           double cardinality_fraction) {
+  return {rows, static_cast<int>(cardinality_fraction * 1000.0)};
+}
+
+// Every runner collects on its own thread only, so RunAll()'s units running
+// at once never observe each other's records.
+void EnableCollection() { MetricsManager::Instance().BeginThreadCollection(); }
+void DisableCollection() { MetricsManager::Instance().EndThreadCollection(); }
+std::vector<OuRecord> DrainCollection() {
+  return MetricsManager::Instance().DrainThread();
+}
+
+/// A private engine for one sweep unit, configured like the caller's: the
+/// same knob values, and a WAL of its own (removed afterwards) exactly when
+/// the caller logs, so RunWal() records wherever it would on the caller.
+class UnitDatabase {
+ public:
+  explicit UnitDatabase(Database *caller) {
+    Database::Options options;
+    if (caller->log_manager().enabled()) {
+      static std::atomic<uint64_t> next_unit{0};
+      options.wal_path = caller->log_manager().path() + ".ou_unit" +
+                         std::to_string(next_unit.fetch_add(1));
+    }
+    wal_path_ = options.wal_path;
+    db_ = std::make_unique<Database>(std::move(options));
+    for (const auto &[name, value] : caller->settings().Snapshot()) {
+      const Status set = db_->settings().SetDouble(name, value);
+      MB2_ASSERT(set.ok(), "caller knob rejected by a unit database");
+    }
+  }
+  ~UnitDatabase() {
+    db_.reset();
+    if (!wal_path_.empty()) std::remove(wal_path_.c_str());
+  }
+  MB2_DISALLOW_COPY_AND_MOVE(UnitDatabase);
+
+  Database *get() { return db_.get(); }
+
+ private:
+  std::string wal_path_;
+  std::unique_ptr<Database> db_;
+};
+
+// The lane table. Joins, GC and DML have the largest transient memory
+// (+16.5, +9.8 and +8.4 MiB of peak RSS each when run alone), so they share
+// the caller's lane; the helper lane takes units of similar total time whose
+// peaks are small. RunTxns spends most of its time in sleep_for pauses and
+// runs beside both.
+constexpr SweepUnit kSweepUnits[] = {
+    {&OuRunner::RunScanAndFilter, SweepLane::kHelper},
+    {&OuRunner::RunJoins, SweepLane::kCaller},
+    {&OuRunner::RunAggregates, SweepLane::kCaller},
+    {&OuRunner::RunSorts, SweepLane::kHelper},
+    {&OuRunner::RunProjections, SweepLane::kCaller},
+    {&OuRunner::RunDml, SweepLane::kCaller},
+    {&OuRunner::RunIndexScans, SweepLane::kCaller},
+    {&OuRunner::RunIndexBuilds, SweepLane::kHelper},
+    {&OuRunner::RunWal, SweepLane::kCaller},
+    {&OuRunner::RunGc, SweepLane::kCaller},
+    {&OuRunner::RunStorage, SweepLane::kHelper},
+    {&OuRunner::RunTxns, SweepLane::kTxn},
+};
+
 }  // namespace
+
+std::span<const SweepUnit> SweepUnits() { return kSweepUnits; }
+
+size_t SweepLaneCount(const cpu_set_t &mask) {
+  return CPU_COUNT(&mask) >= 2 ? 2 : 1;
+}
 
 Table *MakeSyntheticTable(Database *db, const std::string &name, uint64_t rows,
                           uint64_t distinct, uint64_t seed,
@@ -63,8 +138,8 @@ Table *MakeSyntheticTable(Database *db, const std::string &name, uint64_t rows,
 }
 
 Table *OuRunner::SyntheticTable(uint64_t rows, double cardinality_fraction) {
-  const int card_key = static_cast<int>(cardinality_fraction * 1000.0);
-  const auto key = std::make_pair(rows, card_key);
+  const auto key = SyntheticTableKey(rows, cardinality_fraction);
+  const int card_key = key.second;
   auto it = table_cache_.find(key);
   if (it != table_cache_.end()) return db_->catalog().GetTable(it->second);
 
@@ -105,30 +180,6 @@ std::vector<OuRecord> OuRunner::AggregateReps(
     out.push_back(std::move(aggregated));
   }
   return out;
-}
-
-void OuRunner::EnableCollection() {
-  auto &metrics = MetricsManager::Instance();
-  if (config_.thread_scoped_metrics) {
-    metrics.BeginThreadCollection();
-  } else {
-    metrics.SetEnabled(true);
-  }
-}
-
-void OuRunner::DisableCollection() {
-  auto &metrics = MetricsManager::Instance();
-  if (config_.thread_scoped_metrics) {
-    metrics.EndThreadCollection();
-  } else {
-    metrics.SetEnabled(false);
-  }
-}
-
-std::vector<OuRecord> OuRunner::DrainCollection() {
-  auto &metrics = MetricsManager::Instance();
-  return config_.thread_scoped_metrics ? metrics.DrainThread()
-                                       : metrics.DrainAll();
 }
 
 void OuRunner::MeasurePlan(const PlanNode &plan, std::vector<OuRecord> *out) {
@@ -350,8 +401,9 @@ std::vector<OuRecord> OuRunner::RunProjections() {
 std::vector<OuRecord> OuRunner::RunDml() {
   std::vector<OuRecord> out;
   // A scratch table absorbs the DML; every measured query is rolled back.
-  Table *scratch = SyntheticTable(
-      config_.row_counts.empty() ? 4096 : config_.row_counts.back(), 1.0);
+  const uint64_t scratch_rows =
+      config_.row_counts.empty() ? 4096 : config_.row_counts.back();
+  Table *scratch = SyntheticTable(scratch_rows, 1.0);
 
   for (uint64_t batch : config_.row_counts) {
     if (batch > 32768) continue;  // bound DML batch sizes
@@ -395,6 +447,9 @@ std::vector<OuRecord> OuRunner::RunDml() {
     auto delete_plan = FinalizePlan(std::move(del), db_->catalog());
     MeasurePlanWithRollback(*delete_plan, &out);
   }
+  // The rolled-back inserts left dead slots behind. Later runners on this
+  // database get a fresh table, so their row features count live rows only.
+  table_cache_.erase(SyntheticTableKey(scratch_rows, 1.0));
   return out;
 }
 
@@ -646,18 +701,16 @@ std::vector<OuRecord> OuRunner::RunStorage() {
 std::vector<OuRecord> OuRunner::RunTxns() {
   std::vector<OuRecord> out;
   Stopwatch watch(&runner_seconds_);
-  // Transaction workers record kTxnBegin/kTxnCommit from their own spawned
-  // threads, which thread-scoped collection cannot see.
-  MB2_ASSERT(!config_.thread_scoped_metrics,
-             "RunTxns requires global metrics collection");
-  auto &metrics = MetricsManager::Instance();
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     for (uint32_t pause_us : {0u, 50u, 500u}) {
-      metrics.DrainAll();
-      metrics.SetEnabled(true);
+      // kTxnBegin/kTxnCommit record on the transaction's own thread, so each
+      // worker collects and drains its own records.
+      std::vector<std::vector<OuRecord>> collected(threads);
       std::vector<std::thread> workers;
       for (uint32_t t = 0; t < threads; t++) {
-        workers.emplace_back([&] {
+        workers.emplace_back([&, t] {
+          DrainCollection();
+          EnableCollection();
           for (uint32_t i = 0; i < 200; i++) {
             auto txn = db_->txn_manager().Begin();
             if (pause_us > 0) {
@@ -665,13 +718,16 @@ std::vector<OuRecord> OuRunner::RunTxns() {
             }
             db_->txn_manager().Commit(txn.get());
           }
+          DisableCollection();
+          collected[t] = DrainCollection();
         });
       }
       for (auto &w : workers) w.join();
-      metrics.SetEnabled(false);
-      for (auto &r : metrics.DrainAll()) {
-        if (r.ou == OuType::kTxnBegin || r.ou == OuType::kTxnCommit) {
-          out.push_back(std::move(r));
+      for (auto &records : collected) {
+        for (auto &r : records) {
+          if (r.ou == OuType::kTxnBegin || r.ou == OuType::kTxnCommit) {
+            out.push_back(std::move(r));
+          }
         }
       }
     }
@@ -680,91 +736,46 @@ std::vector<OuRecord> OuRunner::RunTxns() {
 }
 
 std::vector<OuRecord> OuRunner::RunAll() {
-  std::vector<OuRecord> out;
-  auto append = [&out](std::vector<OuRecord> records) {
-    out.insert(out.end(), std::make_move_iterator(records.begin()),
-               std::make_move_iterator(records.end()));
-  };
-  append(RunScanAndFilter());
-  append(RunJoins());
-  append(RunAggregates());
-  append(RunSorts());
-  append(RunProjections());
-  append(RunDml());
-  append(RunIndexScans());
-  append(RunIndexBuilds());
-  append(RunWal());
-  append(RunGc());
-  append(RunStorage());
-  append(RunTxns());
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel sweep
-// ---------------------------------------------------------------------------
-
-SweepResult RunParallelSweep(const OuRunnerConfig &config, size_t jobs) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  if (jobs == 0) jobs = 1;
-
-  // One sweep unit per OU category; each runs on its own Database so the
-  // units share no engine state at all (catalog, settings, tables). Records
-  // land in the worker's thread-local buffer only.
-  using CategoryFn = std::vector<OuRecord> (OuRunner::*)();
-  static constexpr CategoryFn kUnits[] = {
-      &OuRunner::RunScanAndFilter, &OuRunner::RunJoins,
-      &OuRunner::RunAggregates,    &OuRunner::RunSorts,
-      &OuRunner::RunProjections,   &OuRunner::RunDml,
-      &OuRunner::RunIndexScans,    &OuRunner::RunIndexBuilds,
-      &OuRunner::RunWal,           &OuRunner::RunGc,
-      &OuRunner::RunStorage,
-  };
-  constexpr size_t kNumUnits = sizeof(kUnits) / sizeof(kUnits[0]);
-
-  std::vector<std::vector<OuRecord>> unit_records(kNumUnits);
-  std::vector<double> unit_seconds(kNumUnits, 0.0);
-  {
-    ThreadPool pool(jobs);
-    for (size_t i = 0; i < kNumUnits; i++) {
-      pool.Submit([&, i] {
-        Database db;
-        OuRunnerConfig unit_config = config;
-        unit_config.thread_scoped_metrics = true;
-        OuRunner runner(&db, unit_config);
-        MetricsManager::Instance().DrainThread();  // discard stale records
-        unit_records[i] = (runner.*kUnits[i])();
-        unit_seconds[i] = runner.runner_seconds();
-      });
+  const std::span<const SweepUnit> units = SweepUnits();
+  std::vector<std::vector<OuRecord>> records(units.size());
+  std::vector<double> seconds(units.size(), 0.0);
+  auto run_unit = [&](size_t i) {
+    {
+      UnitDatabase unit_db(db_);
+      OuRunner runner(unit_db.get(), config_);
+      records[i] = (runner.*units[i].run)();
+      seconds[i] = runner.runner_seconds();
     }
-    pool.WaitAll();
+    // Each lane's malloc arena would otherwise keep the peak of every unit
+    // it ran, on top of what the caller allocates after the sweep.
+    malloc_trim(0);
+  };
+  auto run_lane = [&](SweepLane lane) {
+    for (size_t i = 0; i < units.size(); i++) {
+      if (units[i].lane == lane) run_unit(i);
+    }
+  };
+
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0 ||
+      SweepLaneCount(mask) < 2) {
+    for (size_t i = 0; i < units.size(); i++) run_unit(i);
+  } else {
+    std::thread txn_lane(run_lane, SweepLane::kTxn);
+    std::thread helper_lane(run_lane, SweepLane::kHelper);
+    run_lane(SweepLane::kCaller);
+    helper_lane.join();
+    txn_lane.join();
   }
 
-  SweepResult result;
-  for (size_t i = 0; i < kNumUnits; i++) {
-    result.records.insert(result.records.end(),
-                          std::make_move_iterator(unit_records[i].begin()),
-                          std::make_move_iterator(unit_records[i].end()));
-    result.runner_seconds += unit_seconds[i];
+  std::vector<OuRecord> out;
+  for (size_t i = 0; i < units.size(); i++) {
+    out.insert(out.end(), std::make_move_iterator(records[i].begin()),
+               std::make_move_iterator(records[i].end()));
+    runner_seconds_ += seconds[i];
   }
-
-  // The transaction runner spawns worker threads that record from their own
-  // threads, so it needs the global toggle; run it after the pool drains.
-  {
-    Database db;
-    OuRunner runner(&db, config);
-    auto txn_records = runner.RunTxns();
-    result.records.insert(result.records.end(),
-                          std::make_move_iterator(txn_records.begin()),
-                          std::make_move_iterator(txn_records.end()));
-    result.runner_seconds += runner.runner_seconds();
-  }
-
-  result.wall_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-  return result;
+  return out;
 }
 
 }  // namespace mb2

@@ -12,7 +12,10 @@
 /// exact control over the swept parameters — the SQL frontend in src/sql/
 /// sits above the same plan layer, so both options exercise identical OUs.
 
+#include <sched.h>
+
 #include <map>
+#include <span>
 #include <vector>
 
 #include "database.h"
@@ -29,14 +32,6 @@ struct OuRunnerConfig {
   uint32_t repetitions = 7;   ///< measured reps per config (trimmed mean)
   uint32_t warmups = 2;       ///< unmeasured warm-up executions
   double trim_fraction = 0.2;
-
-  /// Parallel-sweep mode: collect records with thread-scoped metrics
-  /// collection (this thread's buffer only) instead of the global toggle,
-  /// so concurrent sweep units never observe each other's records. Only
-  /// valid for runners whose OUs record on the runner's own thread — i.e.
-  /// every category except RunTxns(), whose transaction workers record from
-  /// their spawned threads.
-  bool thread_scoped_metrics = false;
 
   /// Scaled-down preset for unit tests.
   static OuRunnerConfig Small() {
@@ -59,7 +54,10 @@ class OuRunner {
       : db_(db), config_(std::move(config)) {}
   MB2_DISALLOW_COPY_AND_MOVE(OuRunner);
 
-  /// Runs every runner; returns trimmed-mean aggregated records.
+  /// Runs every category (SweepUnits()), each on a private Database
+  /// configured like this runner's, up to three at a time (see
+  /// SweepLaneCount); returns the trimmed-mean aggregated records in
+  /// category order. Adds the summed per-unit time to runner_seconds().
   std::vector<OuRecord> RunAll();
 
   std::vector<OuRecord> RunScanAndFilter();
@@ -75,18 +73,14 @@ class OuRunner {
   std::vector<OuRecord> RunStorage();  // block I/O: page read/write/evict
   std::vector<OuRecord> RunTxns();
 
-  /// Wall-clock seconds spent inside Run* calls so far (Table 2).
+  /// Wall-clock seconds spent inside Run* calls so far, summed over the
+  /// categories even where RunAll() overlaps them (Table 2).
   double runner_seconds() const { return runner_seconds_; }
 
  private:
   /// Lazily creates (and caches) a synthetic table: `id` unique int plus 7
   /// int payload columns whose distinct count is fraction*rows.
   Table *SyntheticTable(uint64_t rows, double cardinality_fraction);
-
-  /// Collection helpers honoring `config_.thread_scoped_metrics`.
-  void EnableCollection();
-  void DisableCollection();
-  std::vector<OuRecord> DrainCollection();
 
   /// Executes `plan` with warmups then measured repetitions, aggregating the
   /// drained records with the trimmed mean. Appends to *out.
@@ -111,19 +105,24 @@ Table *MakeSyntheticTable(Database *db, const std::string &name, uint64_t rows,
                           uint64_t distinct, uint64_t seed,
                           TableStorage storage = TableStorage::kMemory);
 
-/// Result of a (possibly parallel) full OU-runner sweep.
-struct SweepResult {
-  std::vector<OuRecord> records;
-  double runner_seconds = 0.0;  ///< summed across units (Table 2 CPU cost)
-  double wall_seconds = 0.0;    ///< elapsed wall clock of the whole sweep
+/// The thread RunAll() runs a sweep unit on. Units whose transient memory
+/// is large share the caller's lane so their peaks never overlap (each
+/// thread's malloc arena keeps its own high-water mark).
+enum class SweepLane { kCaller, kHelper, kTxn };
+
+/// One OU category of the full sweep.
+struct SweepUnit {
+  std::vector<OuRecord> (OuRunner::*run)();
+  SweepLane lane;
 };
 
-/// Runs the full OU-runner battery with up to `jobs` sweep units in flight.
-/// Each unit (one OU category) executes on its own Database instance with
-/// thread-scoped metrics collection, so units are fully independent; the
-/// transaction runner, whose workers record from spawned threads, runs after
-/// the pool drains using the global collection toggle. Record grouping is
-/// deterministic (fixed unit order) regardless of `jobs`.
-SweepResult RunParallelSweep(const OuRunnerConfig &config, size_t jobs);
+/// RunAll()'s units in merge (category) order, each exactly once.
+std::span<const SweepUnit> SweepUnits();
+
+/// Lanes RunAll() may run at once for a CPU affinity mask: 2 (caller and
+/// helper, with the kTxn unit beside them) given two usable CPUs, else 1,
+/// which runs every unit serially on the caller's thread so no unit's
+/// elapsed labels include time-sharing one CPU with another.
+size_t SweepLaneCount(const cpu_set_t &mask);
 
 }  // namespace mb2

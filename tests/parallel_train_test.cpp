@@ -1,7 +1,7 @@
 // Parallel offline-pipeline tests: parallel model training must be
 // bit-identical to serial training for a fixed seed (deterministic per-task
-// RNG seeding), and the parallel OU-runner sweep must produce the same
-// record coverage as the serial battery.
+// RNG seeding), and OuRunner::RunAll, which runs its categories on
+// concurrent lanes, must collect what the categories collect one by one.
 
 #include <gtest/gtest.h>
 
@@ -140,7 +140,7 @@ TEST(ParallelTrainingTest, TrainOuModelsMatchesSerialModelFiles) {
   EXPECT_EQ(bytes_a, bytes_b);
 }
 
-TEST(ParallelSweepTest, CoversSameOusAsSerialBattery) {
+OuRunnerConfig TinySweepConfig() {
   OuRunnerConfig cfg = OuRunnerConfig::Small();
   cfg.row_counts = {64, 512};
   cfg.cardinality_fractions = {1.0};
@@ -148,29 +148,74 @@ TEST(ParallelSweepTest, CoversSameOusAsSerialBattery) {
   cfg.index_build_threads = {1, 2};
   cfg.repetitions = 2;
   cfg.warmups = 1;
+  return cfg;
+}
 
-  Database serial_db;
-  OuRunner serial_runner(&serial_db, cfg);
-  auto serial_records = serial_runner.RunAll();
+/// The twelve categories called one by one on one Database, in RunAll's
+/// merge order.
+std::vector<OuRecord> SerialBattery(const OuRunnerConfig &cfg) {
+  Database db;
+  OuRunner runner(&db, cfg);
+  std::vector<OuRecord> out;
+  for (auto unit :
+       {&OuRunner::RunScanAndFilter, &OuRunner::RunJoins,
+        &OuRunner::RunAggregates, &OuRunner::RunSorts,
+        &OuRunner::RunProjections, &OuRunner::RunDml, &OuRunner::RunIndexScans,
+        &OuRunner::RunIndexBuilds, &OuRunner::RunWal, &OuRunner::RunGc,
+        &OuRunner::RunStorage, &OuRunner::RunTxns}) {
+    std::vector<OuRecord> records = (runner.*unit)();
+    out.insert(out.end(), std::make_move_iterator(records.begin()),
+               std::make_move_iterator(records.end()));
+  }
+  return out;
+}
 
-  SweepResult sweep = RunParallelSweep(cfg, /*jobs=*/2);
-  EXPECT_GT(sweep.records.size(), 0u);
-  EXPECT_GT(sweep.runner_seconds, 0.0);
-  EXPECT_GT(sweep.wall_seconds, 0.0);
+bool IsTxnOu(OuType type) {
+  return type == OuType::kTxnBegin || type == OuType::kTxnCommit;
+}
+
+TEST(ParallelSweepTest, CoversSameOusAsSerialBattery) {
+  const OuRunnerConfig cfg = TinySweepConfig();
+  const std::vector<OuRecord> serial_records = SerialBattery(cfg);
+
+  Database db;
+  OuRunner runner(&db, cfg);
+  const std::vector<OuRecord> sweep_records = runner.RunAll();
+  EXPECT_GT(sweep_records.size(), 0u);
+  EXPECT_GT(runner.runner_seconds(), 0.0);
 
   auto ou_set = [](const std::vector<OuRecord> &records) {
     std::set<OuType> out;
     for (const auto &r : records) out.insert(r.ou);
     return out;
   };
-  EXPECT_EQ(ou_set(serial_records), ou_set(sweep.records));
+  EXPECT_EQ(ou_set(serial_records), ou_set(sweep_records));
 
-  // Same per-OU record counts: the parallel sweep runs the same configs.
-  std::map<OuType, size_t> serial_counts, parallel_counts;
+  // Same per-OU record counts: the concurrent sweep runs the same configs.
+  std::map<OuType, size_t> serial_counts, sweep_counts;
   for (const auto &r : serial_records) serial_counts[r.ou]++;
-  for (const auto &r : sweep.records) parallel_counts[r.ou]++;
+  for (const auto &r : sweep_records) sweep_counts[r.ou]++;
   for (const auto &[type, n] : serial_counts) {
-    EXPECT_EQ(parallel_counts[type], n) << OuTypeName(type);
+    EXPECT_EQ(sweep_counts[type], n) << OuTypeName(type);
+  }
+}
+
+TEST(ParallelSweepTest, RunAllMatchesSerialBatteryFeatureForFeature) {
+  const OuRunnerConfig cfg = TinySweepConfig();
+  const std::vector<OuRecord> serial_records = SerialBattery(cfg);
+  Database db;
+  OuRunner runner(&db, cfg);
+  const std::vector<OuRecord> sweep_records = runner.RunAll();
+
+  // Same OU sequence, and the same features everywhere except the
+  // transaction OUs, whose features are the measured arrival rate and
+  // running-transaction count. Labels are timings and may differ.
+  ASSERT_EQ(sweep_records.size(), serial_records.size());
+  for (size_t i = 0; i < sweep_records.size(); i++) {
+    ASSERT_EQ(sweep_records[i].ou, serial_records[i].ou) << "record " << i;
+    if (IsTxnOu(sweep_records[i].ou)) continue;
+    EXPECT_EQ(sweep_records[i].features, serial_records[i].features)
+        << "record " << i << " (" << OuTypeName(sweep_records[i].ou) << ")";
   }
 }
 

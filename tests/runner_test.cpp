@@ -1,10 +1,14 @@
 // Runner tests: synthetic-table properties, trimmed-mean aggregation of
-// repetition streams, per-OU runner coverage, and the concurrent runner's
-// record stream.
+// repetition streams, per-OU runner coverage, RunAll's lanes and unit
+// databases, and the concurrent runner's record stream.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <filesystem>
+#include <functional>
 #include <set>
+#include <thread>
 
 #include "database.h"
 #include "runner/concurrent_runner.h"
@@ -122,6 +126,123 @@ TEST(OuRunnerTest, WalGcTxnRunnersProduceTheirOus) {
   EXPECT_TRUE(seen.count(OuType::kGarbageCollection));
   EXPECT_TRUE(seen.count(OuType::kTxnBegin));
   EXPECT_TRUE(seen.count(OuType::kTxnCommit));
+}
+
+TEST(OuRunnerTest, LaneTableNamesEveryUnitOnce) {
+  const std::vector<std::vector<OuRecord> (OuRunner::*)()> categories = {
+      &OuRunner::RunScanAndFilter, &OuRunner::RunJoins,
+      &OuRunner::RunAggregates,    &OuRunner::RunSorts,
+      &OuRunner::RunProjections,   &OuRunner::RunDml,
+      &OuRunner::RunIndexScans,    &OuRunner::RunIndexBuilds,
+      &OuRunner::RunWal,           &OuRunner::RunGc,
+      &OuRunner::RunStorage,       &OuRunner::RunTxns};
+  ASSERT_EQ(SweepUnits().size(), categories.size());
+  for (size_t i = 0; i < categories.size(); i++) {
+    size_t listed = 0;
+    for (const SweepUnit &unit : SweepUnits()) {
+      listed += unit.run == categories[i];
+    }
+    EXPECT_EQ(listed, 1u) << "category " << i;
+  }
+  for (const SweepUnit &unit : SweepUnits()) {
+    // Only the transaction runner, whose workers mostly sleep, gets a
+    // thread of its own.
+    EXPECT_EQ(unit.lane == SweepLane::kTxn, unit.run == &OuRunner::RunTxns);
+  }
+}
+
+TEST(OuRunnerTest, LaneCountFollowsUsableCpus) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(SweepLaneCount(mask), 1u);
+  CPU_SET(3, &mask);
+  EXPECT_EQ(SweepLaneCount(mask), 1u);  // one CPU: everything serial
+  CPU_SET(0, &mask);
+  EXPECT_EQ(SweepLaneCount(mask), 2u);
+  CPU_SET(1, &mask);
+  CPU_SET(2, &mask);
+  EXPECT_EQ(SweepLaneCount(mask), 2u);
+}
+
+OuRunnerConfig TinyRunAllConfig() {
+  OuRunnerConfig cfg = OuRunnerConfig::Small();
+  cfg.row_counts = {64, 512};
+  cfg.cardinality_fractions = {1.0};
+  cfg.column_counts = {2};
+  cfg.index_build_threads = {1, 2};
+  cfg.repetitions = 2;
+  cfg.warmups = 1;
+  return cfg;
+}
+
+/// Threads that recorded RunAll's records, transaction OUs aside (those
+/// come from RunTxns' short-lived workers).
+std::set<uint64_t> LaneThreads(const std::vector<OuRecord> &records) {
+  std::set<uint64_t> threads;
+  for (const auto &r : records) {
+    if (r.ou != OuType::kTxnBegin && r.ou != OuType::kTxnCommit) {
+      threads.insert(r.thread_id);
+    }
+  }
+  return threads;
+}
+
+TEST(OuRunnerTest, RunAllOnLoggedDatabaseRecordsWalOusOnPrivateUnits) {
+  TestTempDir tmp;
+  Database::Options options;
+  options.wal_path = tmp.Path("caller.log");
+  Database db(options);
+  OuRunner runner(&db, TinyRunAllConfig());
+  const std::vector<OuRecord> records = runner.RunAll();
+
+  std::set<OuType> seen;
+  for (const auto &r : records) seen.insert(r.ou);
+  EXPECT_TRUE(seen.count(OuType::kLogSerialize));
+  EXPECT_TRUE(seen.count(OuType::kLogFlush));
+  EXPECT_TRUE(seen.count(OuType::kTxnCommit));
+
+  // Every unit ran on a database of its own: the caller's catalog and WAL
+  // directory hold nothing of the sweep's.
+  EXPECT_TRUE(db.catalog().TableNames().empty());
+  size_t files = 0;
+  for (const auto &entry : std::filesystem::directory_iterator(tmp.dir())) {
+    EXPECT_EQ(entry.path().filename(), "caller.log");
+    files++;
+  }
+  EXPECT_EQ(files, 1u);
+
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  const size_t caller = std::hash<std::thread::id>{}(std::this_thread::get_id());
+  const std::set<uint64_t> threads = LaneThreads(records);
+  EXPECT_TRUE(threads.count(caller));
+  EXPECT_EQ(threads.size(), SweepLaneCount(mask));
+}
+
+TEST(OuRunnerTest, RunAllPinnedToOneCpuRunsOnTheCallersThread) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) cpu++;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  // Affinity of this test's own thread only; restored below.
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  Database db;
+  OuRunner runner(&db, TinyRunAllConfig());
+  const std::vector<OuRecord> records = runner.RunAll();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+
+  const size_t caller = std::hash<std::thread::id>{}(std::this_thread::get_id());
+  EXPECT_EQ(LaneThreads(records), std::set<uint64_t>{caller});
+  std::set<OuType> seen;
+  for (const auto &r : records) seen.insert(r.ou);
+  EXPECT_TRUE(seen.count(OuType::kSeqScan));
+  EXPECT_TRUE(seen.count(OuType::kPageRead));
+  EXPECT_TRUE(seen.count(OuType::kTxnBegin));
 }
 
 TEST(ConcurrentRunnerTest, ProducesThreadTaggedRecords) {
